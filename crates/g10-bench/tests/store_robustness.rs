@@ -6,9 +6,8 @@
 //! partial entry to readers.
 
 use g10_bench::store::{checksum, decode_entry, encode_entry, RunKey, RunStore, SCHEMA_VERSION};
-use g10_sim::{FaultRecord, PolicyFaultKind, SimReport};
+use g10_sim::{FaultRecord, PolicyFaultKind, SimReport, TrafficStats};
 use g10_time::Nanos;
-use g10_uvm::TrafficStats;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;

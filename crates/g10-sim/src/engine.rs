@@ -17,16 +17,16 @@ use crate::fault::{
     Validate,
 };
 use crate::guard::{AuditView, InvariantGuard};
+use crate::hw::Hardware;
 use crate::metrics::SimReport;
 use crate::policy::MemoryPolicy;
 use crate::tenancy::{DeviceLedger, TenantId, TenantUsage};
 use crate::victim::VictimIndex;
-use g10_core::config::SystemConfig;
+use g10_core::config::{Destination, SystemConfig};
 use g10_dnn::graph::{DnnGraph, KernelId};
 use g10_dnn::tensor::TensorId;
 use g10_dnn::trace::KernelTrace;
 use g10_time::Nanos;
-use g10_uvm::{MemKind, UnifiedMemory, UnifiedMemoryConfig};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -84,6 +84,26 @@ pub enum Location {
     Host,
     /// Stored on the SSD.
     Ssd,
+}
+
+impl Location {
+    /// The off-GPU memory this location names, if it is one.
+    fn off_gpu(self) -> Option<Destination> {
+        match self {
+            Location::Host => Some(Destination::Host),
+            Location::Ssd => Some(Destination::Ssd),
+            Location::Gpu | Location::Unallocated => None,
+        }
+    }
+}
+
+impl From<Destination> for Location {
+    fn from(destination: Destination) -> Location {
+        match destination {
+            Destination::Host => Location::Host,
+            Destination::Ssd => Location::Ssd,
+        }
+    }
 }
 
 /// How the engine picks eviction victims for the LRU / largest-victim
@@ -216,7 +236,7 @@ struct TensorRuntime {
 #[derive(Debug)]
 pub struct EngineState {
     now: Nanos,
-    uvm: UnifiedMemory,
+    hw: Hardware,
     tensors: Vec<TensorRuntime>,
     /// GPU bytes that will be freed when outbound evictions complete,
     /// aggregated by completion time and kept in time order, so
@@ -338,12 +358,12 @@ impl EngineState {
     /// Free GPU bytes right now (pending eviction completions up to the
     /// current time have been applied).
     pub fn gpu_free_bytes(&self) -> u64 {
-        self.uvm.gpu().free_bytes()
+        self.hw.gpu.free_bytes()
     }
 
     /// Free host staging bytes right now.
     pub fn host_free_bytes(&self) -> u64 {
-        self.uvm.host().free_bytes()
+        self.hw.host.free_bytes()
     }
 
     /// Iterator over tensors that could be evicted right now: resident in
@@ -456,20 +476,18 @@ impl EngineState {
         if self.tensors[idx].inbound_ready.is_some() {
             return false;
         }
-        let source = match location {
-            Location::Host => MemKind::Host,
-            Location::Ssd => MemKind::Flash,
-            Location::Gpu | Location::Unallocated => return false,
+        let Some(source) = location.off_gpu() else {
+            return false;
         };
         self.apply_pending(self.now);
-        if !self.uvm.gpu_mut().try_allocate(bytes) {
+        if !self.hw.gpu.try_allocate(bytes) {
             self.prefetches_dropped += 1;
             return false;
         }
         let now = self.now;
-        let completion = self.uvm.transfer_to_gpu(bytes, source, now);
-        if source == MemKind::Host {
-            self.uvm.host_mut().free(bytes);
+        let completion = self.hw.transfer_to_gpu(bytes, source, now);
+        if source == Destination::Host {
+            self.hw.host.free(bytes);
         }
         self.tensors[idx].inbound_ready = Some(completion);
         self.prefetches_issued += 1;
@@ -496,22 +514,17 @@ impl EngineState {
             return false;
         }
         let bytes = self.tensors[idx].bytes;
-        let destination = match destination {
-            Location::Host if self.uvm.host_mut().try_allocate(bytes) => Location::Host,
+        let destination = match destination.off_gpu() {
+            Some(Destination::Host) if self.hw.host.try_allocate(bytes) => Destination::Host,
             // Host requested but full, or SSD requested: go to flash.
-            Location::Host | Location::Ssd => Location::Ssd,
-            Location::Gpu | Location::Unallocated => return false,
-        };
-        // `destination` can only be Host or Ssd at this point.
-        let kind = match destination {
-            Location::Host => MemKind::Host,
-            _ => MemKind::Flash,
+            Some(_) => Destination::Ssd,
+            None => return false,
         };
         let now = self.now;
-        let completion = self.uvm.transfer_from_gpu(bytes, kind, now);
+        let completion = self.hw.transfer_from_gpu(bytes, destination, now);
         *self.pending_gpu_free.entry(completion).or_insert(0) += bytes;
         self.pending_gpu_free_bytes += bytes;
-        self.set_location(idx, destination);
+        self.set_location(idx, destination.into());
         self.evictions_issued += 1;
         self.ledger_note(|usage| {
             usage.evictions += 1;
@@ -538,16 +551,14 @@ impl EngineState {
         if self.tensors[idx].inbound_ready.is_some() {
             return false;
         }
-        let source = match self.tensors[idx].location {
-            Location::Host => MemKind::Host,
-            Location::Ssd => MemKind::Flash,
-            Location::Gpu | Location::Unallocated => return false,
+        let Some(source) = self.tensors[idx].location.off_gpu() else {
+            return false;
         };
         let bytes = self.tensors[idx].bytes;
         self.apply_pending(self.now);
-        if self.uvm.gpu().free_bytes() < bytes {
+        if self.hw.gpu.free_bytes() < bytes {
             loop {
-                let projected: u64 = self.uvm.gpu().free_bytes() + self.pending_gpu_free_bytes;
+                let projected: u64 = self.hw.gpu.free_bytes() + self.pending_gpu_free_bytes;
                 if projected >= bytes {
                     break;
                 }
@@ -566,12 +577,12 @@ impl EngineState {
             }
         }
         let start = self.now.max(self.space_available_at(bytes));
-        if !self.uvm.gpu_mut().try_allocate(bytes) {
-            self.uvm.gpu_mut().force_allocate(bytes);
+        if !self.hw.gpu.try_allocate(bytes) {
+            self.hw.gpu.force_allocate(bytes);
         }
-        let completion = self.uvm.transfer_to_gpu(bytes, source, start);
-        if source == MemKind::Host {
-            self.uvm.host_mut().free(bytes);
+        let completion = self.hw.transfer_to_gpu(bytes, source, start);
+        if source == Destination::Host {
+            self.hw.host.free(bytes);
         }
         self.tensors[idx].inbound_ready = Some(completion);
         self.prefetches_issued += 1;
@@ -646,8 +657,8 @@ impl EngineState {
         }
         AuditView {
             now: self.now,
-            used_bytes: self.uvm.gpu().used_bytes(),
-            capacity_bytes: self.uvm.gpu().capacity_bytes(),
+            used_bytes: self.hw.gpu.used_bytes(),
+            capacity_bytes: self.hw.gpu.capacity_bytes(),
             pending_ledger_bytes: self.pending_gpu_free.values().sum(),
             pending_prefix_bytes: self.pending_gpu_free_bytes,
             earliest_pending_due: self.pending_gpu_free.keys().next().copied(),
@@ -662,7 +673,7 @@ impl EngineState {
     /// completion time, so this is a single in-order walk — no clone, no
     /// sort.
     fn space_available_at(&self, needed: u64) -> Nanos {
-        let mut free = self.uvm.gpu().free_bytes();
+        let mut free = self.hw.gpu.free_bytes();
         if free >= needed {
             return self.now;
         }
@@ -685,7 +696,7 @@ impl EngineState {
         }
         if freed > 0 {
             self.pending_gpu_free_bytes -= freed;
-            self.uvm.gpu_mut().free(freed);
+            self.hw.gpu.free(freed);
             self.ledger_note(|usage| {
                 usage.pending_free_bytes = usage.pending_free_bytes.saturating_sub(freed);
             });
@@ -711,13 +722,13 @@ impl EngineState {
         mut select_victim: impl FnMut(&EngineState) -> Option<(TensorId, Location)>,
     ) -> Nanos {
         self.apply_pending(self.now);
-        if self.uvm.gpu().free_bytes() >= needed {
+        if self.hw.gpu.free_bytes() >= needed {
             return self.now;
         }
         // Keep evicting until currently-free plus in-flight frees cover the
         // request, or the policy gives up.
         loop {
-            let projected: u64 = self.uvm.gpu().free_bytes() + self.pending_gpu_free_bytes;
+            let projected: u64 = self.hw.gpu.free_bytes() + self.pending_gpu_free_bytes;
             if projected >= needed {
                 break;
             }
@@ -735,11 +746,11 @@ impl EngineState {
                 }
             }
         }
-        if self.uvm.gpu().free_bytes() >= needed {
+        if self.hw.gpu.free_bytes() >= needed {
             return self.now;
         }
         // Find the earliest completion time at which enough space is free.
-        let mut free = self.uvm.gpu().free_bytes();
+        let mut free = self.hw.gpu.free_bytes();
         for (&time, &bytes) in &self.pending_gpu_free {
             free += bytes;
             if free >= needed {
@@ -815,23 +826,7 @@ impl<'a> ReplayEngine<'a> {
         let gpu_capacity = options
             .gpu_capacity_override
             .unwrap_or(config.gpu_memory_bytes);
-        let uvm_config = UnifiedMemoryConfig {
-            gpu_capacity_bytes: gpu_capacity,
-            host_capacity_bytes: config.host_memory_bytes,
-            pcie_bytes_per_sec: config.pcie_bytes_per_sec,
-            ssd_read_bytes_per_sec: config.ssd_read_bytes_per_sec,
-            ssd_write_bytes_per_sec: config.ssd_write_bytes_per_sec,
-            ssd_read_latency: config.ssd_read_latency,
-            ssd_write_latency: config.ssd_write_latency,
-            host_latency: config.host_latency,
-            fault: g10_uvm::FaultModel {
-                fault_latency: config.fault_latency,
-                batch_bytes: config.fault_batch_bytes,
-            },
-            migration_batch_bytes: config.migration_batch_bytes,
-            software_overhead_per_batch: options.software_overhead_per_batch,
-        };
-        let mut uvm = UnifiedMemory::new(uvm_config);
+        let mut hw = Hardware::new(config, gpu_capacity, options.software_overhead_per_batch);
 
         // Per-tensor runtime state and initial placement; lifetimes come
         // from the graph's shared index instead of a fresh adjacency pass.
@@ -846,9 +841,9 @@ impl<'a> ReplayEngine<'a> {
             };
             match location {
                 Location::Gpu => {
-                    if !uvm.gpu_mut().try_allocate(info.bytes()) {
+                    if !hw.gpu.try_allocate(info.bytes()) {
                         // Weights that do not fit initially spill to host.
-                        location = if uvm.host_mut().try_allocate(info.bytes()) {
+                        location = if hw.host.try_allocate(info.bytes()) {
                             Location::Host
                         } else {
                             Location::Ssd
@@ -856,7 +851,7 @@ impl<'a> ReplayEngine<'a> {
                     }
                 }
                 Location::Host => {
-                    if !uvm.host_mut().try_allocate(info.bytes()) {
+                    if !hw.host.try_allocate(info.bytes()) {
                         location = Location::Ssd;
                     }
                 }
@@ -902,7 +897,7 @@ impl<'a> ReplayEngine<'a> {
             trace,
             state: EngineState {
                 now: Nanos::ZERO,
-                uvm,
+                hw,
                 tensors,
                 pending_gpu_free: BTreeMap::new(),
                 pending_gpu_free_bytes: 0,
@@ -1110,8 +1105,8 @@ impl<'a> ReplayEngine<'a> {
             InjectedFault::CapacityExceeded => {
                 // Overcommit past capacity plus in-flight frees, without
                 // acknowledging oversubscription.
-                let over = self.state.uvm.gpu().free_bytes() + self.state.pending_gpu_free_bytes;
-                self.state.uvm.gpu_mut().force_allocate(over + 1);
+                let over = self.state.hw.gpu.free_bytes() + self.state.pending_gpu_free_bytes;
+                self.state.hw.gpu.force_allocate(over + 1);
             }
             InjectedFault::LedgerCorrupt => {
                 self.state.pending_gpu_free_bytes += 12_345;
@@ -1134,10 +1129,10 @@ impl<'a> ReplayEngine<'a> {
                 }
             }
             InjectedFault::ResidencyDesync => {
-                if self.state.uvm.gpu().used_bytes() > 0 {
-                    self.state.uvm.gpu_mut().free(1);
+                if self.state.hw.gpu.used_bytes() > 0 {
+                    self.state.hw.gpu.free(1);
                 } else {
-                    self.state.uvm.gpu_mut().force_allocate(1);
+                    self.state.hw.gpu.force_allocate(1);
                 }
             }
             _ => {}
@@ -1156,8 +1151,8 @@ impl<'a> ReplayEngine<'a> {
             ideal_time: self.trace.total_duration(),
             stall_time: self.stall_time,
             kernel_slowdowns: self.kernel_slowdowns,
-            traffic: state.uvm.traffic(),
-            fault_count: state.uvm.fault_count(),
+            traffic: state.hw.traffic(),
+            fault_count: state.hw.fault_count(),
             prefetches_issued: state.prefetches_issued,
             prefetches_dropped: state.prefetches_dropped,
             evictions_issued: state.evictions_issued,
@@ -1197,8 +1192,8 @@ impl<'a> ReplayEngine<'a> {
                     let space_at = self.ensure_space(bytes);
                     ready = ready.max(space_at);
                     self.state.apply_pending(self.state.now);
-                    if !self.state.uvm.gpu_mut().try_allocate(bytes) {
-                        self.state.uvm.gpu_mut().force_allocate(bytes);
+                    if !self.state.hw.gpu.try_allocate(bytes) {
+                        self.state.hw.gpu.force_allocate(bytes);
                         self.state.oversubscribed = true;
                     }
                     self.state.set_location(idx, Location::Gpu);
@@ -1256,25 +1251,23 @@ impl<'a> ReplayEngine<'a> {
     fn demand_fetch(&mut self, tensor: TensorId) -> Nanos {
         let idx = tensor.index();
         let bytes = self.state.tensors[idx].bytes;
-        let source = match self.state.tensors[idx].location {
-            Location::Host => MemKind::Host,
-            Location::Ssd => MemKind::Flash,
-            _ => return self.state.now,
+        let Some(source) = self.state.tensors[idx].location.off_gpu() else {
+            return self.state.now;
         };
         let space_at = self.ensure_space(bytes);
         self.state.apply_pending(self.state.now);
-        if !self.state.uvm.gpu_mut().try_allocate(bytes) {
-            self.state.uvm.gpu_mut().force_allocate(bytes);
+        if !self.state.hw.gpu.try_allocate(bytes) {
+            self.state.hw.gpu.force_allocate(bytes);
             self.state.oversubscribed = true;
         }
         let start = self.state.now.max(space_at);
         let arrival = if self.state.pays_fault_overhead {
-            self.state.uvm.fault_in(bytes, source, start)
+            self.state.hw.fault_in(bytes, source, start)
         } else {
-            self.state.uvm.transfer_to_gpu(bytes, source, start)
+            self.state.hw.transfer_to_gpu(bytes, source, start)
         };
-        if source == MemKind::Host {
-            self.state.uvm.host_mut().free(bytes);
+        if source == Destination::Host {
+            self.state.hw.host.free(bytes);
         }
         self.state.tensors[idx].inbound_ready = Some(arrival);
         self.state.ledger_note(|usage| {
@@ -1296,12 +1289,8 @@ impl<'a> ReplayEngine<'a> {
         // A dead tensor cannot still be in flight: it was just settled as
         // part of the kernel that used it last.
         match self.state.tensors[idx].location {
-            Location::Gpu => self.state.uvm.gpu_mut().free(self.state.tensors[idx].bytes),
-            Location::Host => self
-                .state
-                .uvm
-                .host_mut()
-                .free(self.state.tensors[idx].bytes),
+            Location::Gpu => self.state.hw.gpu.free(self.state.tensors[idx].bytes),
+            Location::Host => self.state.hw.host.free(self.state.tensors[idx].bytes),
             Location::Ssd | Location::Unallocated => {}
         }
         self.state.set_location(idx, Location::Unallocated);

@@ -7,8 +7,10 @@
 //!
 //! * [`engine`] — the trace-replay engine: kernels execute back to back,
 //!   gated on the residency of their working set; migrations run
-//!   asynchronously on the modelled channels; stalls, faults and traffic are
-//!   accounted per kernel.
+//!   asynchronously on the modelled memory pools, PCIe / SSD channels and
+//!   fault handler (a private hardware module built from
+//!   [`SystemConfig`](g10_core::config::SystemConfig)); stalls, faults and
+//!   traffic are accounted per kernel.
 //! * [`cancel`] — cooperative cancellation: the [`cancel::CancelToken`]
 //!   observed at every engine step boundary, carrying per-request
 //!   deadlines (`--deadline-ms`, the serve daemon) and explicit
@@ -38,7 +40,7 @@
 //!   through [`session::Experiment::jobs`] / `run_multi()`.
 //! * [`runner`] — the workload builder ([`runner::Workload`]), the
 //!   [`runner::PolicyKind`] enumeration of the paper's designs, the
-//!   [`runner::parallel_map`] sweep helper, and legacy run wrappers.
+//!   [`runner::parallel_map`] sweep helper.
 //!
 //! # Example
 //!
@@ -65,6 +67,7 @@ pub mod cancel;
 pub mod engine;
 pub mod fault;
 pub mod guard;
+mod hw;
 pub mod metrics;
 pub mod naive;
 pub mod policies;
@@ -79,9 +82,9 @@ pub use engine::{
     EngineError, Location, ReplayEngine, RuntimeOptions, StepOutcome, VictimSelection,
 };
 pub use fault::{FaultPlan, FaultRecord, InjectedFault, OnPolicyFault, PolicyFaultKind, Validate};
-pub use metrics::{ReportFingerprint, SimReport};
+pub use metrics::{ReportFingerprint, SimReport, TrafficStats};
 pub use policy::MemoryPolicy;
-pub use runner::{parallel_map, run_experiment, try_parallel_map, PolicyKind, Workload};
+pub use runner::{parallel_map, try_parallel_map, PolicyKind, Workload};
 pub use session::{
     register_policy, registered_policy_names, Experiment, MultiExperiment, PolicyContext,
     PolicyProvider, PolicyRegistry, PolicySpec, SimError,

@@ -8,7 +8,6 @@
 
 use crate::fault::FaultRecord;
 use g10_time::Nanos;
-use g10_uvm::TrafficStats;
 use serde::{Deserialize, Serialize};
 
 /// Incremental FNV-1a digest over `u64` words: the one shared fingerprint
@@ -42,6 +41,42 @@ impl ReportFingerprint {
     /// The digest so far.
     pub fn finish(&self) -> u64 {
         self.0
+    }
+}
+
+/// Migration traffic accumulated by direction (the quantities behind
+/// Figure 14 of the paper).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct TrafficStats {
+    /// Bytes moved GPU → SSD (evictions to flash).
+    pub gpu_to_ssd_bytes: u64,
+    /// Bytes moved SSD → GPU (prefetches / faults from flash).
+    pub ssd_to_gpu_bytes: u64,
+    /// Bytes moved GPU → host (evictions to host DRAM).
+    pub gpu_to_host_bytes: u64,
+    /// Bytes moved host → GPU (prefetches / faults from host DRAM).
+    pub host_to_gpu_bytes: u64,
+}
+
+impl TrafficStats {
+    /// Total bytes that crossed the GPU-SSD path.
+    pub fn ssd_total(&self) -> u64 {
+        self.gpu_to_ssd_bytes + self.ssd_to_gpu_bytes
+    }
+
+    /// Total bytes that crossed the GPU-host path.
+    pub fn host_total(&self) -> u64 {
+        self.gpu_to_host_bytes + self.host_to_gpu_bytes
+    }
+
+    /// Total migration traffic in bytes.
+    pub fn total(&self) -> u64 {
+        self.ssd_total() + self.host_total()
+    }
+
+    /// Bytes written to the SSD (the quantity that wears the flash, §7.7).
+    pub fn ssd_write_bytes(&self) -> u64 {
+        self.gpu_to_ssd_bytes
     }
 }
 

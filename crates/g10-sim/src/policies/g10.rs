@@ -3,19 +3,11 @@
 
 use crate::engine::{EngineState, Location};
 use crate::policy::{lru_victim, MemoryPolicy};
-use g10_core::config::Destination;
 use g10_core::plan::{Instruction, MigrationPlan};
 use g10_core::scheduler::SchedulerVariant;
 use g10_dnn::graph::KernelId;
 use g10_dnn::tensor::{TensorId, TensorInfo};
 use std::collections::HashMap;
-
-fn destination_to_location(destination: Destination) -> Location {
-    match destination {
-        Destination::Host => Location::Host,
-        Destination::Ssd => Location::Ssd,
-    }
-}
 
 /// Executes a [`MigrationPlan`] at runtime.
 #[derive(Debug, Clone)]
@@ -32,7 +24,7 @@ impl G10Policy {
         let initial = plan
             .initial_placements()
             .iter()
-            .map(|p| (p.tensor, destination_to_location(p.location)))
+            .map(|p| (p.tensor, Location::from(p.location)))
             .collect();
         G10Policy {
             plan,
@@ -99,7 +91,7 @@ impl MemoryPolicy for G10Policy {
                 if state.location(tensor) != Location::Gpu {
                     continue;
                 }
-                state.request_evict(tensor, destination_to_location(destination));
+                state.request_evict(tensor, destination.into());
             }
         }
     }

@@ -1,15 +1,7 @@
-//! Experiment helpers: build a workload, replay it, sweep parameters.
-//!
-//! The run entry points here ([`run_experiment`], [`run_policy`],
-//! [`run_policy_with_planning_trace`], [`run_policy_with_options`]) are
-//! thin wrappers over the [`crate::session::Experiment`] builder — new code
-//! should use the builder directly; these remain for the closed
-//! [`PolicyKind`]-enumerated call shape the earlier experiment drivers and
-//! the golden-snapshot tests were written against.
+//! Experiment helpers: build a workload, name the compared designs, sweep
+//! parameters.  Runs go through the [`crate::session::Experiment`] builder.
 
-use crate::engine::RuntimeOptions;
-use crate::metrics::SimReport;
-use crate::session::{Experiment, SimError};
+use crate::session::SimError;
 use g10_core::config::SystemConfig;
 use g10_core::scheduler::SchedulerVariant;
 use g10_dnn::cost::GpuCostModel;
@@ -192,71 +184,6 @@ impl Workload {
     }
 }
 
-/// Replays `workload` under `policy` on the hardware described by `config`.
-///
-/// Thin wrapper over [`Experiment`].
-pub fn run_policy(workload: &Workload, policy: PolicyKind, config: &SystemConfig) -> SimReport {
-    Experiment::new(workload)
-        .policy(policy)
-        .config(*config)
-        .run()
-        .expect("built-in policies always resolve")
-}
-
-/// Like [`run_policy`], but lets the G10 scheduler plan against a different
-/// (e.g. noise-perturbed) trace than the one being replayed — the profiling
-/// error study of §7.6.
-///
-/// Thin wrapper over [`Experiment::planning_trace`].
-pub fn run_policy_with_planning_trace(
-    workload: &Workload,
-    policy: PolicyKind,
-    config: &SystemConfig,
-    planning_trace: &KernelTrace,
-) -> SimReport {
-    Experiment::new(workload)
-        .policy(policy)
-        .config(*config)
-        .planning_trace(planning_trace)
-        .run()
-        .expect("built-in policies always resolve")
-}
-
-/// Like [`run_policy_with_planning_trace`], but starting from caller-chosen
-/// [`RuntimeOptions`] (e.g. [`crate::engine::VictimSelection::NaiveScan`]
-/// for the reference-engine runs of `bench_replay` and the replay-scaling
-/// tests).  The policy-specific fields (GPU capacity override for Ideal,
-/// classic-UVM software overhead for the G10 ablations) are applied on top
-/// by the design's [`crate::session::PolicyProvider`].
-///
-/// Thin wrapper over [`Experiment::options`].
-pub fn run_policy_with_options(
-    workload: &Workload,
-    policy: PolicyKind,
-    config: &SystemConfig,
-    planning_trace: &KernelTrace,
-    options: RuntimeOptions,
-) -> SimReport {
-    Experiment::new(workload)
-        .policy(policy)
-        .config(*config)
-        .planning_trace(planning_trace)
-        .options(options)
-        .run()
-        .expect("built-in policies always resolve")
-}
-
-/// Convenience wrapper: build the workload and replay it in one call.
-pub fn run_experiment(
-    model: ModelKind,
-    batch: u64,
-    policy: PolicyKind,
-    config: &SystemConfig,
-) -> SimReport {
-    let workload = Workload::new(model, batch);
-    run_policy(&workload, policy, config)
-}
-
 /// Runs `f` over `items` on multiple threads, preserving input order.
 /// Used by the experiment harness to sweep models / batch sizes / hardware
 /// configurations in parallel.
@@ -341,9 +268,19 @@ where
 mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
+    use crate::metrics::SimReport;
+    use crate::session::Experiment;
 
     fn tiny_config() -> SystemConfig {
         SystemConfig::table2().with_gpu_memory(64 << 20)
+    }
+
+    fn run_policy(workload: &Workload, policy: PolicyKind, config: &SystemConfig) -> SimReport {
+        Experiment::new(workload)
+            .policy(policy)
+            .config(*config)
+            .run()
+            .unwrap()
     }
 
     #[test]

@@ -1405,27 +1405,11 @@ mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
     use crate::engine::{EngineState, Location};
-    use crate::runner::run_policy;
     use g10_dnn::models::ModelKind;
     use g10_dnn::tensor::TensorId;
 
     fn tiny_config() -> SystemConfig {
         SystemConfig::table2().with_gpu_memory(64 << 20)
-    }
-
-    #[test]
-    fn session_matches_legacy_for_every_builtin() {
-        let workload = Workload::new(ModelKind::TinyCnn, 64);
-        let config = tiny_config();
-        for kind in PolicyKind::ALL {
-            let legacy = run_policy(&workload, kind, &config);
-            let session = Experiment::new(&workload)
-                .policy(kind)
-                .config(config)
-                .run()
-                .expect("built-in policies always resolve");
-            assert_eq!(legacy, session, "{kind}: session diverged from legacy");
-        }
     }
 
     #[test]
@@ -1586,12 +1570,18 @@ mod tests {
             .planning_trace(&noisy)
             .run()
             .expect("builtin resolves");
-        let legacy = crate::runner::run_policy_with_planning_trace(
-            &workload,
-            PolicyKind::G10Full,
+        // The same cell composed by hand: plan against the noisy trace,
+        // replay the workload's own trace.
+        let variant = SchedulerVariant::Full;
+        let plan = G10Scheduler::new(config, variant).plan(&workload.graph, &noisy);
+        let direct = ReplayEngine::new(
+            &workload.graph,
+            &workload.trace,
             &config,
-            &noisy,
-        );
-        assert_eq!(session, legacy);
+            Box::new(G10Policy::new(plan, variant)),
+            RuntimeOptions::default(),
+        )
+        .run();
+        assert_eq!(session, direct);
     }
 }

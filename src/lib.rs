@@ -8,8 +8,6 @@
 //!
 //! * [`dnn`] — DNN workload substrate (models, graphs, traces, cost model).
 //! * [`ssd`] — flash SSD simulator (FTL, garbage collection, endurance).
-//! * [`uvm`] — unified GPU/host/flash memory substrate (page table, PCIe,
-//!   fault model, migration queues).
 //! * [`core`] — the paper's contribution: tensor vitality analysis and the
 //!   smart tensor migration scheduler.
 //! * [`sim`] — the trace-replay simulator: the programmable
@@ -51,7 +49,6 @@ pub use g10_dnn as dnn;
 pub use g10_sim as sim;
 pub use g10_ssd as ssd;
 pub use g10_time as time;
-pub use g10_uvm as uvm;
 
 /// The common surface, importable in one line: `use g10::prelude::*;`.
 ///

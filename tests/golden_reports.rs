@@ -29,7 +29,7 @@
 
 use g10::core::config::SystemConfig;
 use g10::dnn::models::ModelKind;
-use g10::sim::runner::{run_policy, PolicyKind, Workload};
+use g10::sim::{Experiment, PolicyKind, SimReport, Workload};
 
 /// All seven designs of §7, in a fixed snapshot order.
 const ALL_POLICIES: [PolicyKind; 7] = [
@@ -41,6 +41,14 @@ const ALL_POLICIES: [PolicyKind; 7] = [
     PolicyKind::G10Host,
     PolicyKind::G10Full,
 ];
+
+fn run_policy(workload: &Workload, policy: PolicyKind, config: &SystemConfig) -> SimReport {
+    Experiment::new(workload)
+        .policy(policy)
+        .config(*config)
+        .run()
+        .expect("built-in policies resolve")
+}
 
 /// One snapshot line per (model, batch, gpu capacity, policy) cell:
 /// `model batch policy gpu_bytes stall_ns faults evictions hash`.

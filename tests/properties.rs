@@ -13,8 +13,6 @@ use g10::dnn::graph::DnnGraph;
 use g10::dnn::trace::KernelTrace;
 use g10::sim::{Experiment, PolicyKind, Workload};
 use g10::time::Nanos;
-use g10::uvm::page_table::UnifiedPageTable;
-use g10::uvm::{MemKind, Vpn};
 use proptest::prelude::*;
 
 /// Builds a random small residual CNN: a strategy over (batch, channel
@@ -126,21 +124,5 @@ proptest! {
         timeline.add(&[(lo, hi)], delta);
         timeline.add(&[(lo, hi)], -delta);
         prop_assert_eq!(timeline.values(), before);
-    }
-
-    #[test]
-    fn page_table_updates_preserve_page_counts(
-        pages in 1u64..512,
-        split_at in 0u64..512,
-        split_len in 1u64..256,
-    ) {
-        let mut pt = UnifiedPageTable::new();
-        pt.map(Vpn(0), pages, MemKind::Gpu).unwrap();
-        let start = split_at.min(pages.saturating_sub(1));
-        let len = split_len.min(pages - start);
-        pt.update(Vpn(start), len, MemKind::Flash);
-        prop_assert_eq!(pt.mapped_pages(), pages);
-        prop_assert_eq!(pt.pages_in(MemKind::Flash), len);
-        prop_assert_eq!(pt.pages_in(MemKind::Gpu), pages - len);
     }
 }
