@@ -20,7 +20,9 @@
 //! file into the output directory (default `results/`).  The `all` run
 //! additionally prints per-figure wall time; every command that replays
 //! simulation cells prints the three-way run-cache tally (replayed /
-//! memory hits / disk hits) on exit.
+//! memory hits / disk hits) on exit, and every command that planned G10
+//! cells prints, on stderr, how many eviction selections it computed and
+//! how many it reused.
 //!
 //! With `--cache-dir DIR` (or `G10_CACHE_DIR=DIR` in the environment),
 //! replayed cells are persisted to a content-addressed on-disk store and
@@ -57,7 +59,10 @@ use g10_bench::store::RunStore;
 use g10_bench::trajectory::{self, CompareOptions, SnapshotMode};
 use g10_core::config::SystemConfig;
 use g10_dnn::models::ModelKind;
-use g10_sim::{CancelToken, FaultPlan, JobSpec, OnPolicyFault, PolicySpec, RuntimeOptions};
+use g10_sim::{
+    plan_selection_stats, CancelToken, FaultPlan, JobSpec, OnPolicyFault, PolicySpec,
+    RuntimeOptions,
+};
 use g10_time::Nanos;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -788,6 +793,10 @@ fn main() -> ExitCode {
             let stats = run_cache_stats();
             if stats.total() > 0 {
                 println!("[experiments] {}", stats.summary());
+            }
+            let selections = plan_selection_stats();
+            if selections.total() > 0 {
+                eprintln!("[experiments] {}", selections.summary());
             }
             println!(
                 "[experiments] {command} finished in {:.1}s; output written to {}",

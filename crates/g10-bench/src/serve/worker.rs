@@ -12,8 +12,8 @@
 use g10_core::config::SystemConfig;
 use g10_sim::fault::catch_policy_panic;
 use g10_sim::{
-    register_tensile, CancelToken, Experiment, JobSpec, MultiReport, PolicySpec, RuntimeOptions,
-    SimError, SimReport,
+    plan_selection_stats, register_tensile, CancelToken, Experiment, JobSpec, MultiReport,
+    PolicySpec, RuntimeOptions, SimError, SimReport,
 };
 use g10_time::Nanos;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,9 +56,11 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// The `GET /stats` body.
+    /// The `GET /stats` body, with the process-wide eviction-selection memo
+    /// counters ([`plan_selection_stats`]) alongside this daemon's own.
     pub fn to_json(&self, queue_depth: usize, draining: bool) -> Json {
         let get = |counter: &AtomicU64| Json::Num(counter.load(Ordering::Relaxed) as f64);
+        let selections = plan_selection_stats();
         crate::json::obj(vec![
             ("received", get(&self.received)),
             ("admitted", get(&self.admitted)),
@@ -73,6 +75,14 @@ impl ServeStats {
             ("multi_requests", get(&self.multi_requests)),
             ("tenants_served", get(&self.tenants_served)),
             ("tenants_shed", get(&self.tenants_shed)),
+            (
+                "plan_selections_computed",
+                Json::Num(selections.computed as f64),
+            ),
+            (
+                "plan_selections_reused",
+                Json::Num(selections.reused as f64),
+            ),
             ("draining", Json::Bool(draining)),
         ])
     }

@@ -89,6 +89,18 @@ impl Daemon {
     fn submit(&self, body: &Json) -> (u16, Json) {
         exchange(&self.addr, "POST", "/run", Some(body), TIMEOUT).expect("run exchange")
     }
+
+    /// The `/stats` eviction-selection counters: (computed, reused).
+    fn plan_selections(&self) -> (u64, u64) {
+        let (status, stats) =
+            exchange(&self.addr, "GET", "/stats", None, TIMEOUT).expect("stats exchange");
+        assert_eq!(status, 200);
+        let get = |key| stats.get(key).and_then(Json::as_u64).expect(key);
+        (
+            get("plan_selections_computed"),
+            get("plan_selections_reused"),
+        )
+    }
 }
 
 impl Drop for Daemon {
@@ -303,6 +315,11 @@ fn cold_restart_serves_prior_cells_byte_identically() {
         .and_then(Json::as_str)
         .expect("fingerprint present")
         .to_string();
+    assert_eq!(
+        first.plan_selections(),
+        (1, 0),
+        "a replayed G10 cell plans once"
+    );
     first.shutdown();
 
     let second = Daemon::spawn(&store, &[]);
@@ -318,6 +335,7 @@ fn cold_restart_serves_prior_cells_byte_identically() {
         Some(fingerprint.as_str()),
         "restart must serve the prior cell bit-identically"
     );
+    assert_eq!(second.plan_selections(), (0, 0), "a disk hit plans nothing");
     second.shutdown();
 
     let _ = std::fs::remove_dir_all(&store);

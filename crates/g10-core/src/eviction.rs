@@ -1,18 +1,35 @@
-//! Smart tensor eviction scheduling (Algorithm 1, §4.3).
+//! Smart tensor eviction scheduling (Algorithm 1, §4.3), in two stages.
 //!
-//! The planner iteratively selects the inactive period with the best
+//! **Selection** iteratively picks the inactive period with the best
 //! benefit/cost ratio — the GPU memory-pressure area above the capacity
-//! limit that evicting the tensor removes, divided by the migration latency
-//! it costs — chooses between the SSD and host memory as the destination
-//! based on channel saturation and host capacity, updates its three pieces
-//! of global state (pressure timeline, host occupancy, bandwidth
-//! reservations), and repeats until the pressure curve fits under the GPU
-//! capacity or no beneficial candidate remains.
+//! limit that evicting the tensor removes, divided by the round-trip
+//! migration latency it costs — lowers the pressure curve by the period's
+//! bytes, and repeats until the curve fits under the GPU capacity or no
+//! beneficial candidate remains.  Its output is the accepted [`PeriodId`]
+//! sequence ([`select_evictions`]).
+//!
+//! **Placement** walks the accepted periods in order and does everything
+//! else: it chooses the SSD or host memory as the destination from SSD
+//! channel saturation and host capacity, reserves bandwidth on the chosen
+//! channel, tracks host occupancy, and emits the [`EvictionDecision`]s
+//! ([`place_evictions`]).
+//!
+//! Selection reads only the pressure curve, the trace, the GPU capacity and
+//! the *nominal* SSD round-trip cost.  The destination is chosen after a
+//! period is accepted, and lowers the GPU pressure by the same bytes
+//! whichever it is, so nothing placement does feeds back into selection.
+//! Selection is therefore the same for every host-memory size and for all
+//! three [`crate::scheduler::SchedulerVariant`]s, which lets a caller plan
+//! it once and place it many times ([`selection_key`] names its inputs).
+//! The one exception is host-only planning (`allow_ssd: false`, used by no
+//! variant): there a period with no host room is skipped instead of
+//! accepted, so [`schedule_evictions`] runs both stages interleaved, and
+//! that is also the path every un-memoised caller takes.
 //!
 //! Because every eviction only ever *lowers* the pressure curve, candidate
-//! benefits are non-increasing over the course of the search.  The
-//! implementation exploits this with a lazy-greedy (CELF-style) priority
-//! queue: a candidate popped with a stale score is re-scored, and accepted
+//! benefits are non-increasing over the course of the search.  Selection
+//! exploits this with a lazy-greedy (CELF-style) priority queue: a
+//! candidate popped with a stale score is re-scored, and accepted
 //! immediately if it still beats the next-best stale score — giving the same
 //! selection order as re-sorting every iteration (as written in Algorithm 1)
 //! at a fraction of the cost.
@@ -20,14 +37,16 @@
 use crate::bandwidth::{BandwidthReservation, BandwidthTimeline};
 use crate::config::{Destination, SystemConfig};
 use crate::pressure::{MemoryTimeline, PressureTimeline};
-use crate::vitality::{PeriodId, VitalityAnalysis};
+use crate::vitality::{InactivePeriod, PeriodId, VitalityAnalysis};
 use g10_dnn::graph::KernelId;
 use g10_dnn::tensor::TensorId;
 use g10_dnn::trace::KernelTrace;
 use g10_time::Nanos;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::BinaryHeap;
+use std::hash::Hasher;
 
 /// Which eviction destinations the planner may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -165,25 +184,137 @@ pub fn schedule_evictions(
 }
 
 /// Runs the smart eviction scheduling algorithm on explicit timeline
-/// implementations (see [`crate::naive`] for the reference pair).
+/// implementations (see [`crate::naive`] for the reference pair): selection
+/// and placement interleaved, each accepted period placed as soon as it is
+/// picked.
 pub fn schedule_evictions_with<P: PressureTimeline, B: BandwidthReservation>(
     analysis: &VitalityAnalysis,
     trace: &KernelTrace,
     config: &SystemConfig,
     options: EvictionOptions,
 ) -> EvictionSchedule<P, B> {
+    schedule(analysis, trace, config, options, None)
+}
+
+/// The selection stage alone: the accepted periods, in acceptance order,
+/// of SSD-capable planning (every [`crate::scheduler::SchedulerVariant`]).
+///
+/// The result depends only on the inputs [`selection_key`] fingerprints;
+/// [`place_evictions`] turns it into the schedule [`schedule_evictions`]
+/// would have produced for any host-memory size and variant.
+pub fn select_evictions(
+    analysis: &VitalityAnalysis,
+    trace: &KernelTrace,
+    config: &SystemConfig,
+) -> Vec<PeriodId> {
+    let durations = kernel_durations(trace);
+    let mut pressure = MemoryTimeline::new(analysis.live_bytes(), &durations);
+    let mut selection = Vec::new();
+    select(
+        analysis,
+        trace.len(),
+        config,
+        EvictionOptions::ssd_only(),
+        &mut pressure,
+        |period, _| {
+            selection.push(period.id);
+            true
+        },
+    );
+    selection
+}
+
+/// The placement stage alone: replays a [`select_evictions`] result in
+/// order, choosing each period's destination and reserving its channel.
+///
+/// Equals [`schedule_evictions`] with `EvictionOptions { allow_ssd: true,
+/// allow_host }` whenever `selection` came from the same analysis, trace and
+/// [`selection_key`]-equal configuration.
+pub fn place_evictions(
+    analysis: &VitalityAnalysis,
+    trace: &KernelTrace,
+    config: &SystemConfig,
+    allow_host: bool,
+    selection: &[PeriodId],
+) -> EvictionSchedule {
+    let options = EvictionOptions {
+        allow_ssd: true,
+        allow_host,
+    };
+    schedule(analysis, trace, config, options, Some(selection))
+}
+
+/// A content fingerprint of everything [`select_evictions`] reads: the
+/// kernel durations, the live-bytes curve, each period's bytes, length and
+/// kernel ranges, and every [`SystemConfig`] field but the host-memory size
+/// (via [`SystemConfig::cache_key`], so a new field joins the key
+/// automatically).  Equal keys mean equal selections.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SelectionKey {
+    config: [u64; 12],
+    content: u128,
+}
+
+/// Computes the [`SelectionKey`] of one planning problem.
+pub fn selection_key(
+    analysis: &VitalityAnalysis,
+    trace: &KernelTrace,
+    config: &SystemConfig,
+) -> SelectionKey {
+    // Two SipHash streams, one salted, give a 128-bit digest: collisions
+    // would silently reuse a wrong selection, so 64 bits is not enough.
+    let mut plain = DefaultHasher::new();
+    let mut salted = DefaultHasher::new();
+    salted.write_u64(0x9e37_79b9_7f4a_7c15);
+    let mut push = |word: u64| {
+        plain.write_u64(word);
+        salted.write_u64(word);
+    };
     let n_kernels = trace.len();
-    let durations: Vec<Nanos> = (0..n_kernels)
+    push(n_kernels as u64);
+    for k in 0..n_kernels {
+        push(trace.duration(KernelId::new(k as u32)).as_nanos());
+    }
+    let live = analysis.live_bytes();
+    push(live.len() as u64);
+    live.iter().for_each(|&bytes| push(bytes));
+    push(analysis.periods().len() as u64);
+    for period in analysis.periods() {
+        push(period.bytes);
+        push(period.length().as_nanos());
+        let ranges = period.ranges(n_kernels);
+        push(ranges.as_slice().len() as u64);
+        for &(start, end) in ranges.as_slice() {
+            push(start as u64);
+            push(end as u64);
+        }
+    }
+    SelectionKey {
+        config: config.with_host_memory(0).cache_key(),
+        content: (u128::from(plain.finish()) << 64) | u128::from(salted.finish()),
+    }
+}
+
+fn kernel_durations(trace: &KernelTrace) -> Vec<Nanos> {
+    (0..trace.len())
         .map(|k| trace.duration(KernelId::new(k as u32)))
-        .collect();
-    let mut pressure = P::from_values(analysis.live_bytes(), &durations);
-    let mut host_occupancy = P::zeroed(&durations);
+        .collect()
+}
 
-    let horizon = trace.total_duration();
-    let bin = BandwidthTimeline::default_bin_width();
-    let mut to_ssd = B::with_rate(config.evict_bytes_per_sec(Destination::Ssd), horizon, bin);
-    let mut to_host = B::with_rate(config.evict_bytes_per_sec(Destination::Host), horizon, bin);
-
+/// The one lazy-greedy selection loop.  Every winning candidate is offered
+/// to `accept`; if it returns `true` the period's bytes come off `pressure`,
+/// otherwise the candidate is dropped and pressure is left as it was.
+fn select<P: PressureTimeline>(
+    analysis: &VitalityAnalysis,
+    n_kernels: usize,
+    config: &SystemConfig,
+    options: EvictionOptions,
+    pressure: &mut P,
+    mut accept: impl FnMut(&InactivePeriod, &[(usize, usize)]) -> bool,
+) {
+    if !options.allow_ssd && !options.allow_host {
+        return;
+    }
     let capacity = config.gpu_memory_bytes;
     let nominal_dest = options.nominal_destination();
 
@@ -196,9 +327,6 @@ pub fn schedule_evictions_with<P: PressureTimeline, B: BandwidthReservation>(
     // currently relieve pressure above the capacity limit.
     let mut heap: BinaryHeap<Candidate> = BinaryHeap::new();
     for period in analysis.periods() {
-        if !options.allow_ssd && !options.allow_host {
-            break;
-        }
         let cost = config.migration_cost(period.bytes, nominal_dest);
         if period.length() <= cost {
             continue;
@@ -217,7 +345,6 @@ pub fn schedule_evictions_with<P: PressureTimeline, B: BandwidthReservation>(
         });
     }
 
-    let mut decisions = Vec::new();
     while pressure.max_value() > capacity {
         let Some(top) = heap.pop() else { break };
         let period = analysis.period(top.period);
@@ -241,25 +368,49 @@ pub fn schedule_evictions_with<P: PressureTimeline, B: BandwidthReservation>(
                 continue;
             }
         }
+        if accept(period, ranges) {
+            pressure.add(ranges, -(period.bytes as i64));
+        }
+    }
+}
 
-        // Candidate accepted: pick the destination (Algorithm 1, lines 7–17).
+/// Places every accepted period, in order: the periods `select` accepts
+/// or, given a `selection`, those periods without running selection.
+fn schedule<P: PressureTimeline, B: BandwidthReservation>(
+    analysis: &VitalityAnalysis,
+    trace: &KernelTrace,
+    config: &SystemConfig,
+    options: EvictionOptions,
+    selection: Option<&[PeriodId]>,
+) -> EvictionSchedule<P, B> {
+    let durations = kernel_durations(trace);
+    let mut pressure = P::from_values(analysis.live_bytes(), &durations);
+    let mut host_occupancy = P::zeroed(&durations);
+    let horizon = trace.total_duration();
+    let bin = BandwidthTimeline::default_bin_width();
+    let mut to_ssd = B::with_rate(config.evict_bytes_per_sec(Destination::Ssd), horizon, bin);
+    let mut to_host = B::with_rate(config.evict_bytes_per_sec(Destination::Host), horizon, bin);
+    let mut decisions = Vec::new();
+
+    // Placement of one accepted period: pick the destination (Algorithm 1,
+    // lines 7–17), reserve its channel and record the decision.  Returns
+    // `false`, changing nothing, only when host-only planning has no host
+    // room left for the period.
+    let mut place = |period: &InactivePeriod, ranges: &[(usize, usize)]| {
         let t_r = period.start_time;
-        let destination = {
-            let ssd_window = config.evict_time(period.bytes, Destination::Ssd);
-            let host_fits = options.allow_host
-                && host_occupancy.fits_extra(ranges, period.bytes, config.host_memory_bytes);
-            if options.allow_ssd {
-                if to_ssd.is_saturated(period.bytes, t_r, ssd_window) && host_fits {
-                    Destination::Host
-                } else {
-                    Destination::Ssd
-                }
-            } else if host_fits {
+        let ssd_window = config.evict_time(period.bytes, Destination::Ssd);
+        let host_fits = options.allow_host
+            && host_occupancy.fits_extra(ranges, period.bytes, config.host_memory_bytes);
+        let destination = if options.allow_ssd {
+            if to_ssd.is_saturated(period.bytes, t_r, ssd_window) && host_fits {
                 Destination::Host
             } else {
-                // Host-only planning with no host room left: skip.
-                continue;
+                Destination::Ssd
             }
+        } else if host_fits {
+            Destination::Host
+        } else {
+            return false;
         };
 
         let evict_complete = match destination {
@@ -269,7 +420,6 @@ pub fn schedule_evictions_with<P: PressureTimeline, B: BandwidthReservation>(
                 to_host.reserve(period.bytes, t_r)
             }
         };
-        pressure.add(ranges, -(period.bytes as i64));
         decisions.push(EvictionDecision {
             period: period.id,
             tensor: period.tensor,
@@ -279,6 +429,20 @@ pub fn schedule_evictions_with<P: PressureTimeline, B: BandwidthReservation>(
             evict_start: t_r,
             evict_complete,
         });
+        true
+    };
+
+    match selection {
+        None => select(analysis, trace.len(), config, options, &mut pressure, place),
+        Some(selection) => {
+            for &id in selection {
+                let period = analysis.period(id);
+                let ranges = period.ranges(trace.len());
+                let placed = place(period, ranges.as_slice());
+                debug_assert!(placed, "SSD-capable placement never skips a period");
+                pressure.add(ranges.as_slice(), -(period.bytes as i64));
+            }
+        }
     }
 
     EvictionSchedule {
@@ -365,6 +529,37 @@ mod tests {
         config = config.with_ssd_bandwidth(50e6).with_host_memory(32 << 20);
         let schedule = schedule_evictions(&analysis, &trace, &config, EvictionOptions::both());
         assert!(schedule.host_occupancy.max_value() <= config.host_memory_bytes);
+    }
+
+    #[test]
+    fn placing_the_selection_reproduces_the_interleaved_schedule() {
+        let (analysis, trace, config) = setup(48 << 20);
+        let config = config.with_ssd_bandwidth(50e6);
+        let selection = select_evictions(&analysis, &trace, &config);
+        for (host, allow_host) in [
+            (0, true),
+            (32 << 20, true),
+            (1 << 30, true),
+            (1 << 30, false),
+        ] {
+            let config = config.with_host_memory(host);
+            let options = EvictionOptions {
+                allow_ssd: true,
+                allow_host,
+            };
+            let interleaved = schedule_evictions(&analysis, &trace, &config, options);
+            let placed = place_evictions(&analysis, &trace, &config, allow_host, &selection);
+            assert_eq!(placed.decisions, interleaved.decisions);
+            assert_eq!(placed.pressure.values(), interleaved.pressure.values());
+            assert_eq!(
+                placed.host_occupancy.values(),
+                interleaved.host_occupancy.values()
+            );
+            assert_eq!(
+                selection_key(&analysis, &trace, &config),
+                selection_key(&analysis, &trace, &config.with_host_memory(0))
+            );
+        }
     }
 
     #[test]

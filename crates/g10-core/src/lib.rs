@@ -20,8 +20,9 @@
 //!   backed by a Fenwick tree with next-unsaturated-bin skip pointers.
 //! * [`naive`] — the pre-refactor flat-`Vec` timelines, kept as the
 //!   reference for equivalence tests and the `bench_planner` baseline.
-//! * [`eviction`] — Algorithm 1: iterative benefit/cost candidate selection
-//!   with destination choice.
+//! * [`eviction`] — Algorithm 1: iterative benefit/cost candidate selection,
+//!   then destination choice, as two stages so one selection can be placed
+//!   for many host-memory sizes and variants.
 //! * [`prefetch`] — latest-safe prefetch times plus the eager prefetch
 //!   rescheduling of §4.4.
 //! * [`plan`] — the migration plan data structure keyed by kernel index.

@@ -1,11 +1,11 @@
 //! The top-level G10 scheduler: vitality analysis → eviction scheduling →
 //! prefetch scheduling → migration plan.
 
-use crate::config::{Destination, SystemConfig};
-use crate::eviction::{schedule_evictions, EvictionOptions};
+use crate::config::SystemConfig;
+use crate::eviction::{place_evictions, schedule_evictions, EvictionOptions, EvictionSchedule};
 use crate::plan::{Instruction, MigrationPlan};
 use crate::prefetch::schedule_prefetches;
-use crate::vitality::VitalityAnalysis;
+use crate::vitality::{PeriodId, VitalityAnalysis};
 use g10_dnn::graph::DnnGraph;
 use g10_dnn::trace::KernelTrace;
 use serde::{Deserialize, Serialize};
@@ -142,7 +142,41 @@ impl G10Scheduler {
             allow_ssd: true,
             allow_host: self.variant.allows_host(),
         };
-        let mut schedule = schedule_evictions(analysis, trace, &self.config, options);
+        let schedule = schedule_evictions(analysis, trace, &self.config, options);
+        self.assemble(graph, trace, analysis, schedule)
+    }
+
+    /// Like [`G10Scheduler::plan_with_analysis`] but skips eviction
+    /// selection, placing a `selection` that
+    /// [`select_evictions`](crate::eviction::select_evictions) computed for a
+    /// [`selection_key`](crate::eviction::selection_key)-equal problem.  The
+    /// plan is identical to the one [`G10Scheduler::plan_with_analysis`]
+    /// returns.
+    pub fn plan_with_selection(
+        &self,
+        graph: &DnnGraph,
+        trace: &KernelTrace,
+        analysis: &VitalityAnalysis,
+        selection: &[PeriodId],
+    ) -> MigrationPlan {
+        let schedule = place_evictions(
+            analysis,
+            trace,
+            &self.config,
+            self.variant.allows_host(),
+            selection,
+        );
+        self.assemble(graph, trace, analysis, schedule)
+    }
+
+    /// Schedules prefetches for the evictions and assembles the plan.
+    fn assemble(
+        &self,
+        graph: &DnnGraph,
+        trace: &KernelTrace,
+        analysis: &VitalityAnalysis,
+        mut schedule: EvictionSchedule,
+    ) -> MigrationPlan {
         let prefetches = schedule_prefetches(
             analysis,
             trace,
@@ -207,13 +241,6 @@ impl G10Scheduler {
         }
 
         plan
-    }
-
-    /// First-choice eviction destination.  Every variant targets the SSD
-    /// first (Algorithm 1); host memory is only a spillover target for
-    /// host-capable variants when SSD write bandwidth saturates.
-    pub fn preferred_destination(&self) -> Destination {
-        Destination::Ssd
     }
 }
 

@@ -86,8 +86,8 @@ pub use metrics::{ReportFingerprint, SimReport, TrafficStats};
 pub use policy::MemoryPolicy;
 pub use runner::{parallel_map, try_parallel_map, PolicyKind, Workload};
 pub use session::{
-    register_policy, registered_policy_names, Experiment, MultiExperiment, PolicyContext,
-    PolicyProvider, PolicyRegistry, PolicySpec, SimError,
+    plan_selection_stats, register_policy, registered_policy_names, Experiment, MultiExperiment,
+    PlanSelectionStats, PolicyContext, PolicyProvider, PolicyRegistry, PolicySpec, SimError,
 };
 pub use tenancy::{
     register_tensile, DeviceLedger, JobReport, JobSpec, MultiReport, TenantId, TenantScheduler,

@@ -91,6 +91,9 @@
 //! ```
 
 pub mod adversarial;
+mod plan_memo;
+
+pub use plan_memo::{plan_selection_stats, PlanSelectionStats};
 
 use crate::cancel::{CancelKind, CancelRecord};
 use crate::engine::{EngineError, ReplayEngine, RuntimeOptions};
@@ -304,11 +307,16 @@ impl PolicyContext<'_> {
     }
 
     /// Plans smart tensor migrations for this context's workload under the
-    /// given scheduler variant (a convenience over
-    /// [`PolicyContext::scheduler`]).
+    /// given scheduler variant.  The plan equals
+    /// [`PolicyContext::scheduler`]`(variant).plan(..)`, but its eviction
+    /// selection comes from the process-wide memo described on
+    /// [`G10Provider`].
     pub fn plan(&self, variant: SchedulerVariant) -> g10_core::plan::MigrationPlan {
-        self.scheduler(variant)
-            .plan(&self.workload.graph, self.planning_trace)
+        plan_memo::plan(
+            &self.scheduler(variant),
+            &self.workload.graph,
+            self.planning_trace,
+        )
     }
 }
 
@@ -431,6 +439,27 @@ impl PolicyProvider for FlashNeuronProvider {
 /// [`G10Scheduler`] and executes the plan at replay time.  The classic-UVM
 /// ablations (G10-GDS, G10-Host) additionally charge
 /// [`CLASSIC_UVM_BATCH_OVERHEAD`] per planned migration batch.
+///
+/// # Selection memo
+///
+/// Planning goes through [`PolicyContext::plan`], which memoises eviction
+/// *selection* process-wide and re-runs only *placement* per plan (see
+/// [`g10_core::eviction`]).  The key,
+/// [`SelectionKey`](g10_core::eviction::SelectionKey), fingerprints exactly
+/// what selection reads: the planning trace's kernel durations, the
+/// live-bytes curve, each inactive period's bytes, length and kernel
+/// ranges, and every [`SystemConfig`] field except the host-memory size.
+/// Host-memory sweeps and the three variants therefore share one
+/// selection, while any other change (GPU capacity, SSD or PCIe bandwidth,
+/// latencies, a perturbed planning trace) computes a fresh one.
+///
+/// Memory stays bounded: an entry is only the accepted `PeriodId`
+/// sequence, a few KB per distinct G10 cell, and there is at most one entry
+/// per G10 cell planned — fewer, as host sizes and variants share (the
+/// figure grid's 189 G10 plans need 74).  A hard cap of a few thousand
+/// entries, after which the memo starts over, bounds a long-running daemon
+/// fed ever-new configurations.  The counters are in
+/// [`plan_selection_stats`].
 #[derive(Debug, Clone, Copy)]
 pub struct G10Provider {
     variant: SchedulerVariant,
