@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use g10_core::pressure::MemoryTimeline;
-use g10_time::Nanos;
+use g10_dnn::Nanos;
 
 fn bench_pressure(c: &mut Criterion) {
     let kernels = 2048usize;

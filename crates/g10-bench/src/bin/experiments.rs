@@ -59,11 +59,11 @@ use g10_bench::store::RunStore;
 use g10_bench::trajectory::{self, CompareOptions, SnapshotMode};
 use g10_core::config::SystemConfig;
 use g10_dnn::models::ModelKind;
+use g10_dnn::Nanos;
 use g10_sim::{
     plan_selection_stats, CancelToken, FaultPlan, JobSpec, OnPolicyFault, PolicySpec,
     RuntimeOptions,
 };
-use g10_time::Nanos;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};

@@ -10,12 +10,12 @@
 //! into the 500 body and the loop continues.
 
 use g10_core::config::SystemConfig;
+use g10_dnn::Nanos;
 use g10_sim::fault::catch_policy_panic;
 use g10_sim::{
     plan_selection_stats, register_tensile, CancelToken, Experiment, JobSpec, MultiReport,
     PolicySpec, RuntimeOptions, SimError, SimReport,
 };
-use g10_time::Nanos;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 

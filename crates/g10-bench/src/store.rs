@@ -27,8 +27,8 @@
 //!   the entry layout *or* simulator behaviour changes (a golden-report
 //!   re-bless is the signal); stale entries then miss cleanly.
 
+use g10_dnn::Nanos;
 use g10_sim::{FaultRecord, PolicyFaultKind, SimReport, TrafficStats};
-use g10_time::Nanos;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::{fs, io, process};

@@ -37,8 +37,7 @@
 //! would fail loudly (deterministically, not flakily) if a committed
 //! workload ever landed on it.
 
-use g10_time::Nanos;
-use serde::{Deserialize, Serialize};
+use g10_dnn::Nanos;
 
 /// The operations the eviction scheduler needs from a channel-reservation
 /// ledger.  Implemented by the Fenwick-indexed [`BandwidthTimeline`] (the
@@ -73,7 +72,7 @@ pub trait BandwidthReservation {
 /// A binned bandwidth-reservation timeline for one channel direction,
 /// indexed by a Fenwick tree over per-bin free bytes and a union-find
 /// next-unsaturated-bin pointer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BandwidthTimeline {
     bin_width: Nanos,
     bytes_per_bin: f64,

@@ -1,10 +1,9 @@
 //! System configuration (Table 2 of the paper) and derived transfer costs.
 
-use g10_time::Nanos;
-use serde::{Deserialize, Serialize};
+use g10_dnn::Nanos;
 
 /// Where an evicted tensor can live outside the GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Destination {
     /// Host DRAM over the PCIe link.
     Host,
@@ -27,7 +26,7 @@ impl Destination {
 /// All the §7 sensitivity sweeps are expressed as modified copies of this
 /// configuration: host-memory capacity (§7.4), SSD bandwidth and PCIe
 /// generation (§7.5), and GPU capacity for batch-size stress (§7.3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// GPU on-board memory capacity in bytes (40 GB HBM2e).
     pub gpu_memory_bytes: u64,

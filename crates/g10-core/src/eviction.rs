@@ -41,15 +41,14 @@ use crate::vitality::{InactivePeriod, PeriodId, VitalityAnalysis};
 use g10_dnn::graph::KernelId;
 use g10_dnn::tensor::TensorId;
 use g10_dnn::trace::KernelTrace;
-use g10_time::Nanos;
-use serde::{Deserialize, Serialize};
+use g10_dnn::Nanos;
 use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BinaryHeap;
 use std::hash::Hasher;
 
 /// Which eviction destinations the planner may use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvictionOptions {
     /// Allow evicting to the SSD over the GPUDirect-Storage path.
     pub allow_ssd: bool,
@@ -85,7 +84,7 @@ impl EvictionOptions {
 }
 
 /// One scheduled pre-eviction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvictionDecision {
     /// The inactive period being exploited.
     pub period: PeriodId,

@@ -17,7 +17,7 @@
 
 use crate::bandwidth::BandwidthReservation;
 use crate::pressure::PressureTimeline;
-use g10_time::Nanos;
+use g10_dnn::Nanos;
 
 /// The flat-`Vec` memory-pressure timeline (one value per kernel).
 #[derive(Debug, Clone, PartialEq)]

@@ -4,11 +4,10 @@
 use crate::config::Destination;
 use g10_dnn::graph::KernelId;
 use g10_dnn::tensor::TensorId;
-use g10_time::Nanos;
-use serde::{Deserialize, Serialize};
+use g10_dnn::Nanos;
 
 /// One instruction inserted into the instrumented GPU program (§4.4, Fig. 9).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Instruction {
     /// `g10_alloc(tensor, size)`: allocate GPU space for a tensor that is
     /// about to be born.
@@ -59,7 +58,7 @@ impl Instruction {
 
 /// The instructions attached to one kernel: `before` runs just before the
 /// kernel is launched, `after` runs right after it completes.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KernelInstructions {
     /// Instructions issued before the kernel launches.
     pub before: Vec<Instruction>,
@@ -69,7 +68,7 @@ pub struct KernelInstructions {
 
 /// A tensor that starts the iteration outside GPU memory (steady-state
 /// consequence of a wrap-around eviction in the previous iteration).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InitialPlacement {
     /// The tensor.
     pub tensor: TensorId,
@@ -78,7 +77,7 @@ pub struct InitialPlacement {
 }
 
 /// A complete migration plan for one training iteration.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MigrationPlan {
     kernels: Vec<KernelInstructions>,
     initial_placements: Vec<InitialPlacement>,

@@ -16,11 +16,10 @@ use crate::vitality::{PeriodId, VitalityAnalysis};
 use g10_dnn::graph::KernelId;
 use g10_dnn::tensor::TensorId;
 use g10_dnn::trace::KernelTrace;
-use g10_time::Nanos;
-use serde::{Deserialize, Serialize};
+use g10_dnn::Nanos;
 
 /// One scheduled prefetch, paired 1:1 with an [`EvictionDecision`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrefetchDecision {
     /// The inactive period whose eviction this prefetch undoes.
     pub period: PeriodId,

@@ -43,8 +43,7 @@
 //! 10k-kernel StressGPT workload from ~22 s to ~0.7 s (29×); see
 //! `bench_planner` for the head-to-head measurement.
 
-use g10_time::Nanos;
-use serde::{Deserialize, Serialize};
+use g10_dnn::Nanos;
 
 /// The operations the eviction and prefetch schedulers need from a
 /// per-kernel memory-occupancy step function.
@@ -104,7 +103,7 @@ pub trait PressureTimeline {
 
 /// A per-kernel memory-occupancy step function on a lazy-propagation
 /// segment tree (range-add, range-max/min, pruned saturation descent).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemoryTimeline {
     len: usize,
     /// Per-node subtree maxima (including pending lazy of ancestors).

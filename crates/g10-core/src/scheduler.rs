@@ -8,12 +8,11 @@ use crate::prefetch::schedule_prefetches;
 use crate::vitality::{PeriodId, VitalityAnalysis};
 use g10_dnn::graph::DnnGraph;
 use g10_dnn::trace::KernelTrace;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// The three G10 design points evaluated in Figure 11.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulerVariant {
     /// G10-GDS: smart migrations, but only between the GPU and the SSD.
     Gds,

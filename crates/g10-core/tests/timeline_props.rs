@@ -14,7 +14,7 @@
 use g10_core::bandwidth::{BandwidthReservation, BandwidthTimeline};
 use g10_core::naive::{NaiveBandwidthTimeline, NaiveMemoryTimeline};
 use g10_core::pressure::{MemoryTimeline, PressureTimeline};
-use g10_time::Nanos;
+use g10_dnn::Nanos;
 use proptest::prelude::*;
 
 fn close(a: f64, b: f64) -> bool {

@@ -11,7 +11,6 @@ use crate::error::GraphError;
 use crate::index::{GraphIndex, IndexCell};
 use crate::op::{KernelClass, OpCost};
 use crate::tensor::{TensorId, TensorInfo, TensorKind};
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
@@ -20,7 +19,7 @@ use std::sync::Arc;
 ///
 /// Kernel ids are dense indices equal to the kernel's position in execution
 /// order, so `KernelId(3)` is always the fourth kernel launched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct KernelId(u32);
 
 impl KernelId {
@@ -43,7 +42,7 @@ impl fmt::Display for KernelId {
 
 /// One GPU kernel launch: its operator class, analytic cost, and the tensors
 /// it reads and writes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Kernel {
     id: KernelId,
     name: String,
@@ -121,7 +120,7 @@ impl Kernel {
 /// assert_eq!(g.num_kernels(), 1);
 /// assert!(g.validate().is_ok());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DnnGraph {
     name: String,
     batch_size: u64,

@@ -7,11 +7,10 @@
 //! system needs.
 
 use crate::tensor::fp32_bytes;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A feature-map shape `N × C × H × W` (batch, channels, height, width).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FeatureMap {
     /// Batch size.
     pub n: u64,
@@ -75,7 +74,7 @@ impl fmt::Display for FeatureMap {
 }
 
 /// A token-sequence shape `N × L × D` (batch, sequence length, hidden size).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SeqShape {
     /// Batch size.
     pub n: u64,

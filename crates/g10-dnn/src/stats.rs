@@ -14,10 +14,9 @@ use crate::graph::{DnnGraph, KernelId};
 use crate::tensor::TensorId;
 use crate::time::Nanos;
 use crate::trace::KernelTrace;
-use serde::{Deserialize, Serialize};
 
 /// Per-kernel memory footprint, in bytes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryConsumption {
     /// Bytes of tensors used by each kernel (the *active* set), indexed by
     /// kernel execution order.
@@ -77,7 +76,7 @@ pub fn memory_consumption(graph: &DnnGraph) -> MemoryConsumption {
 
 /// One tensor inactive period: the interval between two consecutive uses of
 /// the tensor during which it could safely live off-GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InactivePeriod {
     /// The tensor this period belongs to.
     pub tensor: TensorId,

@@ -26,7 +26,7 @@ use g10_core::config::{Destination, SystemConfig};
 use g10_dnn::graph::{DnnGraph, KernelId};
 use g10_dnn::tensor::TensorId;
 use g10_dnn::trace::KernelTrace;
-use g10_time::Nanos;
+use g10_dnn::Nanos;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -542,7 +542,7 @@ impl EngineState {
     pub fn request_prefetch_evicting(
         &mut self,
         tensor: TensorId,
-        mut select_victim: impl FnMut(&EngineState) -> Option<(TensorId, Location)>,
+        select_victim: impl FnMut(&EngineState) -> Option<(TensorId, Location)>,
     ) -> bool {
         if !self.tensor_in_range(tensor) {
             return false;
@@ -556,27 +556,11 @@ impl EngineState {
         };
         let bytes = self.tensors[idx].bytes;
         self.apply_pending(self.now);
-        if self.hw.gpu.free_bytes() < bytes {
-            loop {
-                let projected: u64 = self.hw.gpu.free_bytes() + self.pending_gpu_free_bytes;
-                if projected >= bytes {
-                    break;
-                }
-                match select_victim(self) {
-                    Some((victim, destination)) => {
-                        if !self.request_evict(victim, destination) {
-                            self.prefetches_dropped += 1;
-                            return false;
-                        }
-                    }
-                    None => {
-                        self.prefetches_dropped += 1;
-                        return false;
-                    }
-                }
-            }
+        if !self.evict_until_covered(bytes, select_victim) {
+            self.prefetches_dropped += 1;
+            return false;
         }
-        let start = self.now.max(self.space_available_at(bytes));
+        let start = self.space_available_at(bytes);
         if !self.hw.gpu.try_allocate(bytes) {
             self.hw.gpu.force_allocate(bytes);
         }
@@ -719,46 +703,33 @@ impl EngineState {
     fn ensure_gpu_space(
         &mut self,
         needed: u64,
-        mut select_victim: impl FnMut(&EngineState) -> Option<(TensorId, Location)>,
+        select_victim: impl FnMut(&EngineState) -> Option<(TensorId, Location)>,
     ) -> Nanos {
         self.apply_pending(self.now);
-        if self.hw.gpu.free_bytes() >= needed {
+        if !self.evict_until_covered(needed, select_victim) {
+            self.oversubscribed = true;
             return self.now;
         }
-        // Keep evicting until currently-free plus in-flight frees cover the
-        // request, or the policy gives up.
-        loop {
-            let projected: u64 = self.hw.gpu.free_bytes() + self.pending_gpu_free_bytes;
-            if projected >= needed {
-                break;
-            }
-            match select_victim(self) {
-                Some((victim, destination)) => {
-                    if !self.request_evict(victim, destination) {
-                        // The policy picked something unusable; treat as give-up.
-                        self.oversubscribed = true;
-                        return self.now;
-                    }
-                }
-                None => {
-                    self.oversubscribed = true;
-                    return self.now;
-                }
+        self.space_available_at(needed)
+    }
+
+    /// Keeps evicting `select_victim`'s picks until the currently free GPU
+    /// bytes plus the in-flight frees cover `needed`.  Returns `false` if the
+    /// policy gives up or picks a tensor that cannot be evicted.
+    fn evict_until_covered(
+        &mut self,
+        needed: u64,
+        mut select_victim: impl FnMut(&EngineState) -> Option<(TensorId, Location)>,
+    ) -> bool {
+        while self.hw.gpu.free_bytes() + self.pending_gpu_free_bytes < needed {
+            let Some((victim, destination)) = select_victim(self) else {
+                return false;
+            };
+            if !self.request_evict(victim, destination) {
+                return false;
             }
         }
-        if self.hw.gpu.free_bytes() >= needed {
-            return self.now;
-        }
-        // Find the earliest completion time at which enough space is free.
-        let mut free = self.hw.gpu.free_bytes();
-        for (&time, &bytes) in &self.pending_gpu_free {
-            free += bytes;
-            if free >= needed {
-                return time;
-            }
-        }
-        self.oversubscribed = true;
-        self.now
+        true
     }
 }
 

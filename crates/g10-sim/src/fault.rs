@@ -24,7 +24,7 @@
 //!   panic hook, so one panicking policy becomes a typed per-cell error
 //!   instead of a backtrace and a dead `parallel_map` sweep.
 
-use g10_time::Nanos;
+use g10_dnn::Nanos;
 use std::cell::Cell;
 use std::fmt;
 use std::panic;

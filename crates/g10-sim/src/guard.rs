@@ -15,7 +15,7 @@
 //! typed errors instead of corrupted reports.
 
 use crate::fault::PolicyFaultKind;
-use g10_time::Nanos;
+use g10_dnn::Nanos;
 
 /// Snapshot of the bookkeeping quantities the guard audits, assembled by
 /// the engine state in one walk over the tensor table.

@@ -25,7 +25,7 @@
 
 use crate::metrics::TrafficStats;
 use g10_core::config::{Destination, SystemConfig};
-use g10_time::Nanos;
+use g10_dnn::Nanos;
 
 /// A fixed-capacity memory pool with byte-granularity accounting.  It does
 /// not track placement, only whether an allocation fits.

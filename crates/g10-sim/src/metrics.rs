@@ -7,8 +7,7 @@
 //! analysis (§7.7).
 
 use crate::fault::FaultRecord;
-use g10_time::Nanos;
-use serde::{Deserialize, Serialize};
+use g10_dnn::Nanos;
 
 /// Incremental FNV-1a digest over `u64` words: the one shared fingerprint
 /// helper behind [`SimReport::fingerprint`],
@@ -46,7 +45,7 @@ impl ReportFingerprint {
 
 /// Migration traffic accumulated by direction (the quantities behind
 /// Figure 14 of the paper).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficStats {
     /// Bytes moved GPU → SSD (evictions to flash).
     pub gpu_to_ssd_bytes: u64,
@@ -81,7 +80,7 @@ impl TrafficStats {
 }
 
 /// The outcome of replaying one training iteration under one memory policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// The model name (e.g. `"ResNet152"`).
     pub model: String,

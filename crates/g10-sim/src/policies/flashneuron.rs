@@ -16,7 +16,7 @@ use g10_core::vitality::VitalityAnalysis;
 use g10_dnn::graph::DnnGraph;
 use g10_dnn::tensor::{TensorId, TensorKind};
 use g10_dnn::trace::KernelTrace;
-use g10_time::Nanos;
+use g10_dnn::Nanos;
 
 /// Fraction of GPU memory FlashNeuron budgets for resident data; the rest is
 /// head-room for the tensors of the currently executing kernels.

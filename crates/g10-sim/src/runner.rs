@@ -9,8 +9,7 @@ use g10_dnn::graph::DnnGraph;
 use g10_dnn::models::stress::StressGptConfig;
 use g10_dnn::models::{build_model, ModelKind};
 use g10_dnn::trace::KernelTrace;
-use g10_time::Nanos;
-use serde::{Deserialize, Serialize};
+use g10_dnn::Nanos;
 use std::fmt;
 use std::str::FromStr;
 
@@ -20,7 +19,7 @@ use std::str::FromStr;
 pub const CLASSIC_UVM_BATCH_OVERHEAD: Nanos = Nanos::from_micros(10);
 
 /// The designs compared throughout §7.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// Infinite GPU memory.
     Ideal,

@@ -110,7 +110,7 @@ use crate::tenancy::{
 use g10_core::config::SystemConfig;
 use g10_core::scheduler::{G10Scheduler, SchedulerVariant};
 use g10_dnn::trace::KernelTrace;
-use g10_time::Nanos;
+use g10_dnn::Nanos;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;

@@ -157,8 +157,8 @@ fn fault_displays_are_self_describing() {
         ),
         (
             PolicyFaultKind::TimeRegression {
-                from: g10_time::Nanos::from_nanos(5),
-                to: g10_time::Nanos::ZERO,
+                from: g10_dnn::Nanos::from_nanos(5),
+                to: g10_dnn::Nanos::ZERO,
             },
             "time moved backwards",
         ),

@@ -19,12 +19,12 @@
 
 use g10_core::config::SystemConfig;
 use g10_dnn::models::ModelKind;
+use g10_dnn::Nanos;
 use g10_sim::session::adversarial::{AdversarialProvider, AdversarialSpec};
 use g10_sim::{
     Experiment, JobSpec, OnPolicyFault, PolicyFaultKind, PolicyRegistry, PolicySpec,
     RuntimeOptions, SimError, Validate, Workload,
 };
-use g10_time::Nanos;
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 

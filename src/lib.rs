@@ -6,8 +6,9 @@
 //! member crates under one roof so examples and downstream users can depend
 //! on a single crate:
 //!
+//! * [`time`] — the [`time::Nanos`] simulation clock every layer shares
+//!   (defined in [`dnn`]).
 //! * [`dnn`] — DNN workload substrate (models, graphs, traces, cost model).
-//! * [`ssd`] — flash SSD simulator (FTL, garbage collection, endurance).
 //! * [`core`] — the paper's contribution: tensor vitality analysis and the
 //!   smart tensor migration scheduler.
 //! * [`sim`] — the trace-replay simulator: the programmable
@@ -46,9 +47,8 @@
 
 pub use g10_core as core;
 pub use g10_dnn as dnn;
+pub use g10_dnn::time;
 pub use g10_sim as sim;
-pub use g10_ssd as ssd;
-pub use g10_time as time;
 
 /// The common surface, importable in one line: `use g10::prelude::*;`.
 ///
