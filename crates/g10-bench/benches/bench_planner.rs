@@ -1,26 +1,33 @@
 //! Criterion bench: migration-planner scaling — naive flat-`Vec` timelines
-//! vs the indexed (segment-tree + Fenwick) timelines, on the synthetic
-//! deep GPT stress workload (`g10_dnn::models::stress`).
+//! vs the indexed (segment-tree pressure + paged bandwidth) timelines, on
+//! the synthetic deep GPT stress workload (`g10_dnn::models::stress`).
 //!
 //! The planning pipeline (eviction scheduling + eager prefetch rescheduling)
 //! is run end-to-end on both timeline families over identical vitality
 //! analyses, so the printed means are directly comparable; the `speedup`
-//! lines summarise the ratio.  Set `G10_BENCH_SMOKE=1` to run a reduced
-//! size (used by the scheduled CI job to keep planner wall-time visible
-//! without paying for the full 10k-kernel naive baseline).
+//! lines summarise the ratio.  A second group times the placement stage
+//! alone (`place_evictions` of a precomputed `select_evictions` result, the
+//! path a memoised selection takes) on SENet154 at batch 1024, whose
+//! ~145 s iteration spans over half a million 250 µs bandwidth bins.  Set
+//! `G10_BENCH_SMOKE=1` to run a reduced size and fewer samples (used by the
+//! scheduled CI job to keep planner wall-time visible without paying for the
+//! full 10k-kernel naive baseline).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use g10_core::bandwidth::BandwidthTimeline;
 use g10_core::config::SystemConfig;
-use g10_core::eviction::{schedule_evictions_with, EvictionOptions};
+use g10_core::eviction::{
+    place_evictions, schedule_evictions_with, select_evictions, EvictionOptions,
+};
 use g10_core::naive::{NaiveBandwidthTimeline, NaiveMemoryTimeline};
 use g10_core::prefetch::schedule_prefetches_with;
 use g10_core::pressure::{MemoryTimeline, PressureTimeline};
 use g10_core::vitality::VitalityAnalysis;
 use g10_dnn::cost::GpuCostModel;
 use g10_dnn::models::stress::{build, StressGptConfig};
+use g10_dnn::models::ModelKind;
 use g10_dnn::trace::KernelTrace;
-use g10_sim::parallel_map;
+use g10_sim::{parallel_map, Workload};
 use std::time::Instant;
 
 struct StressCase {
@@ -111,5 +118,29 @@ fn bench_planner(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_planner);
+fn bench_placement(c: &mut Criterion) {
+    let smoke = std::env::var("G10_BENCH_SMOKE").is_ok();
+    let model = ModelKind::SENet154;
+    let workload = Workload::new(model, 1024);
+    let analysis = VitalityAnalysis::analyze(&workload.graph, &workload.trace);
+    let config = SystemConfig::table2();
+    let selection = select_evictions(&analysis, &workload.trace, &config);
+    let place = || place_evictions(&analysis, &workload.trace, &config, true, &selection);
+    let bins = place().to_ssd.bins();
+
+    let mut group = c.benchmark_group("placement_long_horizon");
+    group.sample_size(if smoke { 3 } else { 20 });
+    group.bench_function(format!("{}_1024", model.name()), |b| {
+        b.iter(|| black_box(place().decisions.len()))
+    });
+    group.finish();
+    println!(
+        "bench placement_long_horizon/{}_1024: {} periods placed, {} bins per ledger",
+        model.name(),
+        selection.len(),
+        bins,
+    );
+}
+
+criterion_group!(benches, bench_planner, bench_placement);
 criterion_main!(benches);

@@ -17,7 +17,8 @@
 //!   lazy-propagation segment tree (O(log n) range queries and updates).
 //! * [`bandwidth`] — binned bandwidth-reservation timelines for the GPU–SSD
 //!   and GPU–host channels ("is the SSD traffic full during [t, t+s]?"),
-//!   backed by a Fenwick tree with next-unsaturated-bin skip pointers.
+//!   stored in lazily allocated pages of bins with next-unsaturated-bin
+//!   skip pointers.
 //! * [`naive`] — the pre-refactor flat-`Vec` timelines, kept as the
 //!   reference for equivalence tests and the `bench_planner` baseline.
 //! * [`eviction`] — Algorithm 1: iterative benefit/cost candidate selection,

@@ -5,9 +5,9 @@
 //! [`crate::pressure`] and [`crate::bandwidth`]:
 //!
 //! * the property tests assert that the segment-tree
-//!   [`MemoryTimeline`](crate::pressure::MemoryTimeline) and Fenwick
+//!   [`MemoryTimeline`](crate::pressure::MemoryTimeline) and paged
 //!   [`BandwidthTimeline`](crate::bandwidth::BandwidthTimeline) agree with
-//!   these on random operation sequences, and
+//!   these exactly on random operation sequences, and
 //! * `bench_planner` runs the whole eviction + prefetch pipeline against
 //!   both to measure the indexed structures' speedup at 10k+ kernels.
 //!

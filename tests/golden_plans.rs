@@ -1,6 +1,6 @@
 //! Golden-plan equivalence tests.
 //!
-//! The planner refactor (segment-tree pressure timelines, Fenwick bandwidth
+//! The planner refactor (segment-tree pressure timelines, paged bandwidth
 //! reservations) must leave the emitted `MigrationPlan` byte-for-byte
 //! identical to the pre-refactor flat-`Vec` implementation.  These tests pin
 //! that: every decision field of the eviction and prefetch schedules plus the
