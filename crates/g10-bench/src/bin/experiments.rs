@@ -1,5 +1,5 @@
-//! Regenerates every table and figure of the paper's evaluation, runs
-//! free-form policy comparisons, and drives the perf-trajectory harness.
+//! Regenerates every table and figure of the paper's evaluation and runs
+//! free-form policy comparisons.
 //!
 //! ```text
 //! experiments <command> [--out results] [--cache-dir DIR | --no-cache]
@@ -11,9 +11,6 @@
 //!       [--gpu-mib N]
 //!   multi [--tenants N] [--stress] [--policy <name>[,<name>...]]
 //!       [--gpu-mib N]
-//!   bench snapshot [--full]
-//!   bench compare <baseline.json> <fresh.json>
-//!       [--min-speedup-ratio X] [--max-wall-ratio X]
 //! ```
 //!
 //! Each figure command prints the rows the paper reports and writes a CSV
@@ -44,19 +41,11 @@
 //! policy) and `multi_slowdown.csv` (per-job slowdown vs the solo
 //! baseline).  `--stress` swaps the tiny-model mix for synthetic GPT
 //! training jobs.
-//!
-//! `bench snapshot` emits a `BENCH_<n>.json` perf-trajectory snapshot
-//! (head-to-head pillar timings + the full grid) under the output
-//! directory, and `bench compare` gates a fresh snapshot against a
-//! committed baseline — see `scripts/bench-compare.sh` and the README's
-//! bench-trajectory section.
 
 use g10_bench::experiments::{self, run_cache_stats, set_run_store, EndToEndRuns};
-use g10_bench::json::Json;
 use g10_bench::output::{write_csv, Table};
 use g10_bench::serve::{self, JobRequest, RunRequest, ServeOptions};
 use g10_bench::store::RunStore;
-use g10_bench::trajectory::{self, CompareOptions, SnapshotMode};
 use g10_core::config::SystemConfig;
 use g10_dnn::models::ModelKind;
 use g10_dnn::Nanos;
@@ -101,9 +90,6 @@ struct Flags {
     gpu_mib: Option<u64>,
     cache_dir: Option<PathBuf>,
     no_cache: bool,
-    full: bool,
-    min_speedup_ratio: Option<f64>,
-    max_wall_ratio: Option<f64>,
     /// Deterministic fault injection (`--inject-fault <step>:<kind>`):
     /// exercises the typed fault and degradation paths from the CLI.
     inject_fault: Option<FaultPlan>,
@@ -421,70 +407,6 @@ fn cache_gc(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// `bench snapshot`: emit the next `BENCH_<n>.json` under the out dir.
-fn bench_snapshot(flags: &Flags, out_dir: &Path) -> Result<(), String> {
-    let mode = if flags.full {
-        SnapshotMode::Full
-    } else {
-        SnapshotMode::Default
-    };
-    let snapshot = trajectory::collect(mode, out_dir);
-    for phase in &snapshot.phases {
-        println!("[bench] {:18} {:>10.1} ms", phase.name, phase.wall_ms);
-    }
-    for (pillar, ratio) in &snapshot.speedups {
-        println!("[bench] {pillar}_speedup: {ratio:.1}x");
-    }
-    println!(
-        "[bench] grid: {} cells replayed, {} memory hits, {} disk hits, {} CSV files",
-        snapshot.grid.cells_replayed,
-        snapshot.grid.memory_hits,
-        snapshot.grid.disk_hits,
-        snapshot.grid.csv_files
-    );
-    let path = trajectory::write_snapshot(&snapshot, out_dir).map_err(|err| err.to_string())?;
-    println!("[bench] snapshot written to {}", path.display());
-    Ok(())
-}
-
-/// `bench compare`: gate a fresh snapshot against the committed baseline.
-fn bench_compare(flags: &Flags, baseline_path: &str, fresh_path: &str) -> Result<(), String> {
-    let load = |path: &str| -> Result<Json, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|err| format!("could not read snapshot {path}: {err}"))?;
-        Json::parse(&text).map_err(|err| format!("could not parse snapshot {path}: {err}"))
-    };
-    let baseline = load(baseline_path)?;
-    let fresh = load(fresh_path)?;
-    let mut opts = CompareOptions::default();
-    if let Some(ratio) = flags.min_speedup_ratio {
-        opts.min_speedup_ratio = ratio;
-    }
-    if let Some(ratio) = flags.max_wall_ratio {
-        opts.max_wall_ratio = ratio;
-    }
-    let outcome = trajectory::compare(&baseline, &fresh, &opts);
-    for pass in &outcome.passes {
-        println!("[bench] ok: {pass}");
-    }
-    for failure in &outcome.failures {
-        eprintln!("[bench] REGRESSION: {failure}");
-    }
-    if outcome.is_ok() {
-        println!(
-            "[bench] no perf regression vs {baseline_path} \
-             (speedup floor ratio {}, wall ceiling ratio {})",
-            opts.min_speedup_ratio, opts.max_wall_ratio
-        );
-        Ok(())
-    } else {
-        Err(format!(
-            "{} perf-trajectory check(s) failed vs {baseline_path}",
-            outcome.failures.len()
-        ))
-    }
-}
-
 fn run(command: &str, flags: &Flags, out_dir: &Path) -> Result<(), String> {
     match command {
         "run" => custom_run(flags, out_dir)?,
@@ -596,7 +518,6 @@ fn main() -> ExitCode {
                 }
             },
             "--no-cache" => flags.no_cache = true,
-            "--full" => flags.full = true,
             "--inject-fault" => match iter.next().map(|plan| plan.parse::<FaultPlan>()) {
                 Some(Ok(plan)) => flags.inject_fault = Some(plan),
                 Some(Err(err)) => {
@@ -685,20 +606,6 @@ fn main() -> ExitCode {
             "--health" => flags.health = true,
             "--stats" => flags.stats = true,
             "--shutdown" => flags.shutdown = true,
-            "--min-speedup-ratio" => match iter.next().map(|v| v.parse::<f64>()) {
-                Some(Ok(ratio)) => flags.min_speedup_ratio = Some(ratio),
-                _ => {
-                    eprintln!("error: --min-speedup-ratio needs a number argument");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--max-wall-ratio" => match iter.next().map(|v| v.parse::<f64>()) {
-                Some(Ok(ratio)) => flags.max_wall_ratio = Some(ratio),
-                _ => {
-                    eprintln!("error: --max-wall-ratio needs a number argument");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--help" | "-h" => {
                 println!(
                     "usage: experiments <table1|table2|fig2|fig3|fig4|fig11|fig12|fig13|fig14|\
@@ -726,11 +633,6 @@ fn main() -> ExitCode {
                      \n\
                      persistent store maintenance:\n\
                      \x20      experiments cache gc --max-mib N [--cache-dir DIR]\n\
-                     \n\
-                     perf-trajectory harness (see scripts/bench-compare.sh):\n\
-                     \x20      experiments bench snapshot [--full] [--out DIR]\n\
-                     \x20      experiments bench compare <baseline.json> <fresh.json>\n\
-                     \x20                  [--min-speedup-ratio X] [--max-wall-ratio X]\n\
                      \n\
                      --policy accepts the built-in designs (ideal, base-uvm, deepum+,\n\
                      flashneuron, g10-gds, g10-host, g10) and any policy registered via\n\
@@ -771,14 +673,6 @@ fn main() -> ExitCode {
 
     let started = std::time::Instant::now();
     let result = match positionals[0].as_str() {
-        "bench" => match positionals.get(1).map(String::as_str) {
-            Some("snapshot") => bench_snapshot(&flags, &out_dir),
-            Some("compare") => match (positionals.get(2), positionals.get(3)) {
-                (Some(baseline), Some(fresh)) => bench_compare(&flags, baseline, fresh),
-                _ => Err("bench compare needs <baseline.json> <fresh.json>".to_string()),
-            },
-            _ => Err("bench needs a subcommand: snapshot | compare".to_string()),
-        },
         "serve" => serve_cmd(&flags),
         "submit" => submit(&flags),
         "cache" => match positionals.get(1).map(String::as_str) {

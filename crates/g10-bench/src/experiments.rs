@@ -322,8 +322,8 @@ pub type FigureDriver = Box<dyn FnOnce() -> Vec<Table>>;
 
 /// The full evaluation grid as named lazy drivers, in presentation order.
 ///
-/// Shared by the `experiments all` command and the perf-trajectory
-/// snapshot so "the grid" means the same cell set everywhere.  Multi-table
+/// Shared by the `experiments all` command and the `perfbench` traced
+/// grid so "the grid" means the same cell set everywhere.  Multi-table
 /// figures (2 and 4) yield one table per model; the Figure 11–14 +
 /// lifetime drivers share one [`EndToEndRuns::collect`] through a lazy
 /// slot, exactly as the binary always ran them.

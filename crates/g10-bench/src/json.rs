@@ -1,12 +1,12 @@
 //! Minimal JSON tree: emit and parse, no external dependencies.
 //!
 //! The build environment vendors only the crates the simulator itself
-//! needs, so the perf-trajectory harness carries its own (deliberately
-//! small) JSON support: enough to write `BENCH_*.json` snapshots and read
-//! them back in `bench compare`.  Object key order is preserved, numbers
-//! are `f64` (integers render without a fractional part), and the parser
-//! accepts any RFC 8259 document — not just what the emitter produces — so
-//! hand-edited baselines still load.
+//! needs, so this crate carries its own (deliberately small) JSON support:
+//! enough for the `serve` wire protocol and the `perfbench` result files.
+//! Object key order is preserved, numbers are `f64` (integers render
+//! without a fractional part), and the parser accepts any RFC 8259
+//! document — not just what the emitter produces — so hand-written request
+//! bodies still load.
 
 use std::fmt::Write as _;
 
@@ -71,14 +71,6 @@ impl Json {
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The entries, if this is an object.
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(entries) => Some(entries),
             _ => None,
         }
     }

@@ -1,6 +1,6 @@
 //! Shared helpers for the G10 benchmark harness: experiment drivers used by
 //! both the `experiments` binary and the criterion benches, the persistent
-//! on-disk run-cache store, the perf-trajectory snapshot harness, and
+//! on-disk run-cache store, the naive/indexed workload pipelines, and
 //! simple table / CSV / JSON output.
 
 pub mod experiments;
@@ -8,7 +8,6 @@ pub mod json;
 pub mod output;
 pub mod serve;
 pub mod store;
-pub mod trajectory;
 pub mod workload_pipeline;
 
 pub use output::{write_csv, Table};

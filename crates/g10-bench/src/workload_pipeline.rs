@@ -32,7 +32,7 @@ use g10_dnn::graph::{DnnGraph, KernelId};
 use g10_dnn::models::stress::StressGptConfig;
 use g10_dnn::models::ModelKind;
 use g10_dnn::trace::KernelTrace;
-use g10_sim::Workload;
+use g10_sim::{ReportFingerprint, Workload};
 use std::collections::HashSet;
 
 /// Number of vitality analyses one experiment cell performs (G10-GDS,
@@ -86,37 +86,6 @@ pub fn build_workload(case: &WorkloadCase) -> (DnnGraph, KernelTrace) {
     (workload.graph, workload.trace)
 }
 
-/// 64-bit FNV-1a over a stream of `u64` words — the pinning hash shared by
-/// this pipeline and the golden-plan / golden-report snapshot tests.
-///
-/// A thin alias over the workspace's one canonical implementation,
-/// [`g10_sim::ReportFingerprint`]; kept so existing pipeline and store
-/// call sites read unchanged.
-pub struct Fingerprint(g10_sim::ReportFingerprint);
-
-impl Fingerprint {
-    /// Starts from the FNV-1a offset basis.
-    pub fn new() -> Self {
-        Fingerprint(g10_sim::ReportFingerprint::new())
-    }
-
-    /// Folds one word into the fingerprint, byte by byte.
-    pub fn push(&mut self, word: u64) {
-        self.0.push(word);
-    }
-
-    /// The accumulated fingerprint.
-    pub fn finish(self) -> u64 {
-        self.0.finish()
-    }
-}
-
-impl Default for Fingerprint {
-    fn default() -> Self {
-        Fingerprint::new()
-    }
-}
-
 /// The facts every analysis pass contributes to the fingerprint, expressed
 /// identically by both derivation families.
 struct AnalysisFacts {
@@ -133,7 +102,7 @@ struct AnalysisFacts {
 
 impl AnalysisFacts {
     fn fingerprint(&self, vitality_peaks: &[u64]) -> u64 {
-        let mut fp = Fingerprint::new();
+        let mut fp = ReportFingerprint::new();
         fp.push(self.peak_active);
         fp.push(self.peak_live);
         fp.push(self.period_count);

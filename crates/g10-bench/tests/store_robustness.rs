@@ -10,6 +10,7 @@ use g10_dnn::Nanos;
 use g10_sim::{FaultRecord, PolicyFaultKind, SimReport, TrafficStats};
 use std::fs;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn fresh_dir(name: &str) -> PathBuf {
@@ -287,20 +288,27 @@ fn gc_under_concurrent_readers_never_serves_a_torn_entry() {
     let report = sample_report();
     store.save(&key, &report).unwrap();
 
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    // `loads` counts the reader's completed `load` attempts.  Round `r`
+    // starts only after attempt `r + 1` completed, so the reader's loads
+    // interleave with the rounds by construction and its first attempt
+    // (made before any gc) finds the entry.
+    let stop = Arc::new(AtomicBool::new(false));
+    let loads = Arc::new(AtomicUsize::new(0));
     let reader = {
         let store = Arc::clone(&store);
         let key = key.clone();
         let report = report.clone();
         let stop = Arc::clone(&stop);
+        let loads = Arc::clone(&loads);
         std::thread::spawn(move || {
             let mut hits = 0u32;
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+            while !stop.load(Ordering::Relaxed) {
                 // A `None` means gc won the race; a miss is the contract.
                 if let Some(loaded) = store.load(&key) {
                     assert_eq!(loaded, report, "reader must never see a torn entry");
                     hits += 1;
                 }
+                loads.fetch_add(1, Ordering::SeqCst);
             }
             hits
         })
@@ -309,12 +317,16 @@ fn gc_under_concurrent_readers_never_serves_a_torn_entry() {
     // Alternate gc-to-zero (removes the entry) with re-saves while the
     // reader hammers load().
     let mut removed_total = 0usize;
-    for _ in 0..200 {
+    for round in 0..200 {
+        // A finished reader has panicked; `join` below reports why.
+        while loads.load(Ordering::SeqCst) <= round && !reader.is_finished() {
+            std::thread::yield_now();
+        }
         let outcome = store.gc(0).unwrap();
         removed_total += outcome.removed;
         store.save(&key, &report).unwrap();
     }
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    stop.store(true, Ordering::Relaxed);
     let hits = reader.join().unwrap();
     assert!(removed_total > 0, "gc must actually have pruned entries");
     assert!(hits > 0, "reader must have observed live entries");

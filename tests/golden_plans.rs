@@ -24,7 +24,7 @@ use g10::core::Instruction;
 use g10::dnn::models::{build_model, ModelKind};
 use g10::dnn::trace::KernelTrace;
 use g10::sim::runner::Workload;
-use g10_bench::workload_pipeline::Fingerprint;
+use g10::sim::ReportFingerprint;
 
 fn destination_code(d: g10::core::config::Destination) -> u64 {
     match d {
@@ -53,7 +53,7 @@ fn fingerprint_plan(
         &mut schedule.pressure
     });
 
-    let mut fp = Fingerprint::new();
+    let mut fp = ReportFingerprint::new();
     for d in &schedule.decisions {
         fp.push(d.period.index() as u64);
         fp.push(d.tensor.index() as u64);

@@ -3,17 +3,18 @@
 //! The fast test checks that the indexed engine (incremental victim index,
 //! ordered pending-free ledger) and the naive reference path (linear-scan
 //! victim selection) produce *identical* `SimReport`s on a mid-size stress
-//! replay across every eviction-heavy design.  The `#[ignore]`d test (run
-//! by the scheduled full-size CI job with `--release --ignored`)
-//! additionally measures wall time at ≥ 10k kernels under memory-constrained
-//! Base UVM and DeepUM+ and asserts the ≥ 5× speedup the refactor was sized
-//! for.
+//! replay across every eviction-heavy design.  The `#[ignore]`d tests
+//! (release builds only) additionally measure wall time under
+//! memory-constrained replay: the per-push `grid-pin` CI job asserts a
+//! speedup floor for Base UVM at 2k kernels, and the scheduled full-size job
+//! asserts the ≥ 5× speedup at 10k kernels under Base UVM and DeepUM+ that
+//! the refactor was sized for.
 
 use g10::core::config::SystemConfig;
 use g10::core::vitality::VitalityAnalysis;
 use g10::dnn::models::stress::StressGptConfig;
 use g10::sim::{Experiment, PolicyKind, RuntimeOptions, SimReport, VictimSelection, Workload};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Batch 2 keeps individual activations small, so the constrained GPU holds
 /// *many* resident tensors — the regime where the naive per-victim scan is
@@ -44,6 +45,19 @@ fn replay(
         })
         .run()
         .expect("built-in policies resolve")
+}
+
+/// Best of three timed runs: the minimum is the least noisy estimate of
+/// what the code actually costs.
+fn min_of_3(f: impl Fn()) -> Duration {
+    (0..3)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed()
+        })
+        .min()
+        .expect("three timed runs")
 }
 
 #[test]
@@ -80,20 +94,13 @@ fn indexed_replay_is_5x_faster_at_10k_kernels() {
         let naive = replay(&workload, policy, &config, VictimSelection::NaiveScan);
         assert_eq!(report, naive, "{policy}: engine paths diverged");
 
-        // Min of three runs per path: the minimum is the least noisy
-        // estimate of what the code actually costs.
-        let timed_min = |selection: VictimSelection| {
-            (0..3)
-                .map(|_| {
-                    let start = Instant::now();
-                    let _ = replay(&workload, policy, &config, selection);
-                    start.elapsed()
-                })
-                .min()
-                .expect("three timed runs")
+        let timed = |selection| {
+            min_of_3(|| {
+                std::hint::black_box(replay(&workload, policy, &config, selection));
+            })
         };
-        let indexed_time = timed_min(VictimSelection::Indexed);
-        let naive_time = timed_min(VictimSelection::NaiveScan);
+        let indexed_time = timed(VictimSelection::Indexed);
+        let naive_time = timed(VictimSelection::NaiveScan);
 
         let speedup = naive_time.as_secs_f64() / indexed_time.as_secs_f64().max(1e-9);
         eprintln!(
@@ -112,4 +119,40 @@ fn indexed_replay_is_5x_faster_at_10k_kernels() {
             "expected >= 5x replay speedup at 10k kernels under {policy}, measured {speedup:.1}x"
         );
     }
+}
+
+#[test]
+#[ignore = "timed 2k-kernel replay; run with --release --include-ignored"]
+fn indexed_replay_speedup_at_2k() {
+    let workload = stress_workload(2_000);
+    let config = constrained_config(&workload);
+    let policy = PolicyKind::BaseUvm;
+
+    // Equality first (also warms both code paths).
+    let indexed = replay(&workload, policy, &config, VictimSelection::Indexed);
+    let naive = replay(&workload, policy, &config, VictimSelection::NaiveScan);
+    assert_eq!(indexed, naive, "{policy}: engine paths diverged");
+
+    let timed = |selection| {
+        min_of_3(|| {
+            std::hint::black_box(replay(&workload, policy, &config, selection));
+        })
+    };
+    let indexed_time = timed(VictimSelection::Indexed);
+    let naive_time = timed(VictimSelection::NaiveScan);
+
+    let speedup = naive_time.as_secs_f64() / indexed_time.as_secs_f64().max(1e-9);
+    eprintln!(
+        "replay at {} kernels under {policy}: naive {:.1} ms, indexed {:.1} ms, speedup {:.1}x",
+        workload.graph.num_kernels(),
+        naive_time.as_secs_f64() * 1e3,
+        indexed_time.as_secs_f64() * 1e3,
+        speedup
+    );
+    // 0.4 x the 2.86x recorded at this size when the floor was set,
+    // rounded up to two decimals.
+    assert!(
+        speedup >= 1.15,
+        "expected >= 1.15x replay speedup at 2k kernels, measured {speedup:.2}x"
+    );
 }

@@ -7,11 +7,12 @@
 //! arenas) and the naive reference pipeline (one `tensor_use_sites`
 //! adjacency re-derivation per consumer, per-kernel `HashSet`
 //! deduplication) compute *identical* analysis facts on a mid-size stress
-//! cell and on a paper model.  The `#[ignore]`d test (run by the scheduled
-//! full-size CI job with `--release --ignored`) measures build+analyze wall
-//! time for one seven-policy experiment cell at ≥ 10k kernels and asserts
-//! the ≥ 5× speedup the refactor was sized for (measured 5.7× on the
-//! development machine; BERT's Figure-11 cell measures 8.3×).
+//! cell and on a paper model.  The `#[ignore]`d tests (release builds only)
+//! measure wall time for one seven-policy experiment cell: the per-push
+//! `grid-pin` CI job asserts a speedup floor for the analysis alone at 2k
+//! kernels, and the scheduled full-size job asserts the ≥ 5× build+analyze
+//! speedup at 10k kernels that the refactor was sized for (measured 5.7× on
+//! the development machine; BERT's Figure-11 cell measures 8.3×).
 //!
 //! Both pipelines live in `g10_bench::workload_pipeline` and are shared
 //! with the `bench_workload` criterion bench.
@@ -20,7 +21,20 @@ use g10_bench::workload_pipeline::{
     build_workload, indexed_analysis_fingerprint, naive_analysis_fingerprint, WorkloadCase,
 };
 use g10_dnn::models::ModelKind;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Best of three timed runs: the minimum is the least noisy estimate of
+/// what the code actually costs.
+fn min_of_3(f: impl Fn()) -> Duration {
+    (0..3)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed()
+        })
+        .min()
+        .expect("three timed runs")
+}
 
 #[test]
 fn naive_and_indexed_analyses_agree_at_mid_scale() {
@@ -54,24 +68,17 @@ fn indexed_workload_pipeline_is_5x_faster_at_10k_kernels() {
         );
     }
 
-    // Min of three runs per pipeline: the minimum is the least noisy
-    // estimate of what the code actually costs.  Each sample rebuilds the
-    // workload so the graph build (which includes the one-time index
-    // construction) is charged to both sides.
+    // Each sample rebuilds the workload so the graph build (which includes
+    // the one-time index construction) is charged to both sides.
     let timed_min = |indexed: bool| {
-        (0..3)
-            .map(|_| {
-                let start = Instant::now();
-                let (graph, trace) = build_workload(&case);
-                if indexed {
-                    std::hint::black_box(indexed_analysis_fingerprint(&graph, &trace));
-                } else {
-                    std::hint::black_box(naive_analysis_fingerprint(&graph, &trace));
-                }
-                start.elapsed()
-            })
-            .min()
-            .expect("three timed runs")
+        min_of_3(|| {
+            let (graph, trace) = build_workload(&case);
+            if indexed {
+                std::hint::black_box(indexed_analysis_fingerprint(&graph, &trace));
+            } else {
+                std::hint::black_box(naive_analysis_fingerprint(&graph, &trace));
+            }
+        })
     };
     let indexed_time = timed_min(true);
     let naive_time = timed_min(false);
@@ -90,5 +97,41 @@ fn indexed_workload_pipeline_is_5x_faster_at_10k_kernels() {
     assert!(
         speedup >= 5.0,
         "expected >= 5x workload build+analyze speedup at 10k kernels, measured {speedup:.1}x"
+    );
+}
+
+#[test]
+#[ignore = "timed 2k-kernel analysis; run with --release --include-ignored"]
+fn indexed_workload_pipeline_speedup_at_2k() {
+    let (graph, trace) = build_workload(&WorkloadCase::stress(2_000));
+
+    // Equality first (also warms both code paths).
+    assert_eq!(
+        indexed_analysis_fingerprint(&graph, &trace),
+        naive_analysis_fingerprint(&graph, &trace),
+        "analysis pipelines diverged"
+    );
+
+    // The analysis alone is timed; the shared graph build is not.
+    let indexed_time = min_of_3(|| {
+        std::hint::black_box(indexed_analysis_fingerprint(&graph, &trace));
+    });
+    let naive_time = min_of_3(|| {
+        std::hint::black_box(naive_analysis_fingerprint(&graph, &trace));
+    });
+
+    let speedup = naive_time.as_secs_f64() / indexed_time.as_secs_f64().max(1e-9);
+    eprintln!(
+        "workload analysis at {} kernels: naive {:.2} ms, indexed {:.2} ms, speedup {:.1}x",
+        graph.num_kernels(),
+        naive_time.as_secs_f64() * 1e3,
+        indexed_time.as_secs_f64() * 1e3,
+        speedup
+    );
+    // 0.4 x the 26.63x recorded at this size when the floor was set,
+    // rounded up to two decimals.
+    assert!(
+        speedup >= 10.66,
+        "expected >= 10.66x workload analysis speedup at 2k kernels, measured {speedup:.2}x"
     );
 }
